@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -284,7 +283,8 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--config", help="JSON config (defaults used when omitted)")
     pv.add_argument("--seed", type=int)
     pv.add_argument("--out", help="output directory for reports")
-    pv.add_argument("--jobs", type=int, default=os.cpu_count())
+    pv.add_argument("--jobs", type=int,
+                    help="worker threads; overrides the config's jobs when given")
     pv.set_defaults(fn=cmd_verify)
     return ap
 

@@ -9,6 +9,7 @@ sequence below s_max, and grid refinement can only increase the value.
 
 from __future__ import annotations
 
+import hashlib
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -140,7 +141,7 @@ class GridFunction:
 def as_values(space: DiscreteHomSpace, f) -> np.ndarray:
     """Coerce a GridFunction or array-like to a validated value vector."""
     if isinstance(f, GridFunction):
-        if f.space is not space and f.space.n != space.n:
+        if f.space is not space:
             raise ValueError("grid function lives on a different space")
         return f.values
     v = np.asarray(f, dtype=float)
@@ -402,13 +403,21 @@ def grand_morrey_norm(space: DiscreteHomSpace, f, params: GrandParams) -> float:
     return grand_morrey_norm_detail(space, f, params).value
 
 
+_BLOCK_BYTES = 512 * 1024  # gather/cumsum buffer of one center block
+
+
 class GrandNormEvaluator:
     """Batched grand Morrey norms for one (space, params) pair.
 
     Precomputes the per-(eps, center, rank) measure normalizations so that
     evaluating a corpus costs one gather/cumsum pass per function instead of
     one Morrey call per grid point.  Matches grand_morrey_norm to roundoff.
-    Instances hold scratch buffers and must not be shared across threads.
+
+    Centers are processed in blocks whose (B, N, E) gather buffer fits in a
+    fixed byte budget, so memory is O(N R E) for the normalizations plus
+    that buffer.  Results are memoised per input for the instance's
+    lifetime.  Instances hold scratch buffers and must not be shared across
+    threads.
     """
 
     def __init__(self, space: DiscreteHomSpace, params: GrandParams):
@@ -427,22 +436,37 @@ class GrandNormEvaluator:
         self.phi_pow = params.phi(grid) ** (1.0 / self.pe)
         self.order = bf.order
         n, e = space.n, grid.size
-        # flat row indices of the rank boundaries inside the cumsum table
-        self.flat_ends = (np.arange(n)[:, None] * n + bf.counts - 1).ravel()
-        self._work = np.empty((n, n, e))
-        self._sums = np.empty((n * self.mu_pow.shape[1], e))
+        block = max(1, min(n, _BLOCK_BYTES // (8 * n * e)))
+        # flat row indices of the rank boundaries inside a block's cumsum table
+        ends = (np.arange(n) % block)[:, None] * n + bf.counts - 1
+        self._blocks = [(c0, min(c0 + block, n), ends[c0:c0 + block].ravel())
+                        for c0 in range(0, n, block)]
+        self._work = np.empty((block, n, e))
+        self._sums = np.empty((block * self.mu_pow.shape[1], e))
+        self._memo: dict[bytes, np.ndarray] = {}
 
     def morrey_vector(self, f) -> np.ndarray:
         """Per-grid-point Morrey norms ||f||_{p-eps, lam-A(eps)}, shape (E,)."""
         v = as_values(self.space, f)
+        key = hashlib.blake2b(v.tobytes(), digest_size=16).digest()
+        out = self._memo.get(key)
+        if out is None:
+            out = self._morrey_vector(v)
+            self._memo[key] = out
+        return out.copy()
+
+    def _morrey_vector(self, v: np.ndarray) -> np.ndarray:
+        e = self.pe.size
         powers = np.abs(v)[:, None] ** self.pe[None, :] * self.space.weight[:, None]
-        np.take(powers, self.order, axis=0, out=self._work)
-        cs = np.cumsum(self._work, axis=1, out=self._work)
-        np.take(cs.reshape(-1, self.pe.size), self.flat_ends, axis=0,
-                out=self._sums)
-        sums = self._sums.reshape(self.mu_pow.shape)
-        sums *= self.mu_pow
-        peak = sums.max(axis=(0, 1))
+        peak = np.full(e, -np.inf)
+        for c0, c1, ends in self._blocks:
+            work = self._work[:c1 - c0]
+            np.take(powers, self.order[c0:c1], axis=0, out=work)
+            np.cumsum(work, axis=1, out=work)
+            sums = self._sums[:ends.size]
+            np.take(work.reshape(-1, e), ends, axis=0, out=sums)
+            sums *= self.mu_pow[c0:c1].reshape(-1, e)
+            np.maximum(peak, sums.max(axis=0), out=peak)
         return peak ** (1.0 / self.pe)
 
     def weighted_vector(self, f) -> np.ndarray:

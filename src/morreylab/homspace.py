@@ -153,6 +153,13 @@ class DiscreteHomSpace:
             raise SpaceValidationError("distance table is not square", ())
         if w.shape != (n,):
             raise SpaceValidationError("weight length does not match table", ())
+        bad = np.flatnonzero(~np.isfinite(w))
+        if bad.size:
+            i = int(bad[0])
+            raise SpaceValidationError(f"weight[{i}] = {w[i]} is not finite", (i,))
+        if not np.all(np.isfinite(d)):
+            i, j = map(int, np.argwhere(~np.isfinite(d))[0])
+            raise SpaceValidationError(f"d({i},{j}) = {d[i, j]} is not finite", (i, j))
         bad = np.flatnonzero(w <= 0)
         if bad.size:
             i = int(bad[0])

@@ -12,6 +12,7 @@ pairs serialize byte-identically.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import math
@@ -579,10 +580,15 @@ def build_calibrated_checks(space: DiscreteHomSpace, *, p: float = 2.0,
     grand bundles, including the (psi, A2) target bundle of the potential
     commutator.
     """
-    if kernel is None:
-        kernel = conjugate_kernel(space)
-    cz = CZOperator(space, kernel)
     cd = doubling_constant(space)
+
+    @functools.cache
+    def cz_operator() -> CZOperator:
+        # built on first use: spaces without circle angles have no conjugate kernel
+        return CZOperator(space, conjugate_kernel(space) if kernel is None else kernel)
+
+    def cz(f):
+        return cz_operator()(f)
 
     a_table = TabulatedFunction.linear(a_slope, np.linspace(0.0, p - 1.0, 33)[1:]) \
         if a_slope > 0 else TabulatedFunction.zero()

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from morreylab import verify
 from morreylab.cli import main
 from morreylab.homspace import build_uniform_grid, dump_space_json
 
@@ -171,6 +172,18 @@ class TestVerifyCommand:
         assert run(capsys, "verify", "--config", str(cfg), "--out", str(d1))[0] == 0
         assert run(capsys, "verify", "--config", str(cfg), "--out", str(d2))[0] == 0
         assert (d1 / "reports.json").read_bytes() == (d2 / "reports.json").read_bytes()
+
+    @pytest.mark.parametrize("flag, expected", [((), 3), (("--jobs", "2"), 2)])
+    def test_jobs_flag_overrides_config_only_when_given(self, capsys, tmp_path,
+                                                        monkeypatch, flag, expected):
+        seen = []
+        monkeypatch.setattr(verify, "run_suite", lambda cfg: seen.append(cfg["jobs"]) or [])
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(dict(SMALL_VERIFY_CFG, jobs=3)))
+        code, _, _ = run(capsys, "verify", "--config", str(cfg),
+                         "--out", str(tmp_path / "o"), *flag)
+        assert code == 0
+        assert seen == [expected]
 
     def test_eta_only_subsecond(self, capsys, tmp_path):
         import time

@@ -10,7 +10,7 @@ from morreylab.funcnorm import (EmptyGrid, GrandNormEvaluator, GrandParams,
                                 default_eps_grid, grand_lebesgue_norm,
                                 grand_morrey_norm, lp_norm, morrey_norm,
                                 morrey_norm_detail, phi_functional, s_max)
-from morreylab.homspace import build_uniform_grid
+from morreylab.homspace import build_from_table, build_uniform_grid
 
 from conftest import random_cloud
 
@@ -260,6 +260,60 @@ class TestGrandMorrey:
                 assert ev(f) == pytest.approx(grand_morrey_norm(sp, f, gp), rel=1e-12)
 
 
+def unblocked_morrey_vector(ev, f):
+    """Reference: the evaluator's algorithm over all centers at once."""
+    bf = ev.space.balls
+    n, e = ev.space.n, ev.pe.size
+    powers = np.abs(np.asarray(f, dtype=float))[:, None] ** ev.pe[None, :] \
+        * ev.space.weight[:, None]
+    cs = np.cumsum(np.take(powers, bf.order, axis=0), axis=1)
+    flat_ends = (np.arange(n)[:, None] * n + bf.counts - 1).ravel()
+    sums = np.take(cs.reshape(-1, e), flat_ends, axis=0).reshape(ev.mu_pow.shape)
+    sums *= ev.mu_pow
+    return sums.max(axis=(0, 1)) ** (1.0 / ev.pe)
+
+
+class TestGrandNormEvaluator:
+    A = TabulatedFunction.linear(0.5, np.linspace(0.0, 1.0, 33)[1:])
+
+    def evaluator(self, sp):
+        return GrandNormEvaluator(
+            sp, GrandParams.power(2.0, 0.25, 1.0, A=self.A, max_points=16, ratio=0.7))
+
+    @pytest.mark.parametrize("make", [
+        lambda: build_uniform_grid(257, 1, "circle"),
+        lambda: random_cloud(40, 5),
+        lambda: build_uniform_grid(6, 2, "interval"),
+        lambda: build_from_table([[0.0]], [1.0]),
+    ], ids=["circle257", "cloud40", "grid2d-ties", "single-atom"])
+    def test_bit_identical_to_unblocked(self, make):
+        sp = make()
+        ev = self.evaluator(sp)
+        rng = np.random.default_rng(21)
+        for _ in range(3):
+            f = rng.normal(size=sp.n) * rng.exponential(size=sp.n)
+            assert np.array_equal(ev.morrey_vector(f), unblocked_morrey_vector(ev, f))
+
+    def test_memo_returns_equal_private_copies(self, circle32):
+        ev = self.evaluator(circle32)
+        f = np.random.default_rng(3).normal(size=32)
+        first = ev.morrey_vector(f)
+        expected = first.copy()
+        assert np.array_equal(ev.morrey_vector(f), expected)
+        first[:] = -1.0
+        assert np.array_equal(ev.morrey_vector(f), expected)
+
+    def test_memo_distinguishes_one_ulp(self, circle32):
+        ev = self.evaluator(circle32)
+        f = np.zeros(32)
+        f[5] = 1.0
+        g = f.copy()
+        g[5] = np.nextafter(1.0, 2.0)
+        vf, vg = ev.morrey_vector(f), ev.morrey_vector(g)
+        assert np.array_equal(vg, unblocked_morrey_vector(ev, g))
+        assert not np.array_equal(vf, vg)
+
+
 class TestNormAxioms:
     @settings(max_examples=20, deadline=None)
     @given(st.floats(min_value=-50, max_value=50).filter(lambda c: abs(c) > 1e-6),
@@ -296,6 +350,11 @@ class TestGridFunction:
     def test_rejects_nonfinite(self, grid3):
         with pytest.raises(ValueError):
             GridFunction(grid3, [1.0, np.inf, 0.0])
+
+    def test_rejects_other_space_of_same_size(self):
+        gf = GridFunction(build_uniform_grid(8, 1, "circle"), np.arange(8.0))
+        with pytest.raises(ValueError, match="different space"):
+            morrey_norm(build_uniform_grid(8, 1, "interval"), gf, 2.0, 0.25)
 
     def test_accepted_by_norms(self, grid3):
         gf = GridFunction(grid3, [1.0, 0.0, 0.0])

@@ -1,10 +1,13 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from morreylab.homspace import (DegenerateFit, NonPositiveWeight,
-                                QuasiTriangleViolation, SymmetryViolation,
+                                QuasiTriangleViolation, SpaceValidationError,
+                                SymmetryViolation,
                                 ZeroDistanceOffDiagonal, build_from_table,
                                 build_uniform_grid, check_annulus,
                                 doubling_constant, dump_space_json,
@@ -78,6 +81,22 @@ class TestIngestion:
         with pytest.raises(NonPositiveWeight) as err:
             build_from_table([[0, 1], [1, 0]], [1, 0])
         assert err.value.witness == (1,)
+
+    @pytest.mark.parametrize("dist, weight, witness", [
+        ([[0, np.nan, 1], [np.nan, 0, 1], [1, 1, 0]], [1, 1, 1], (0, 1)),
+        ([[0, 1, 1], [1, 0, np.inf], [1, np.inf, 0]], [1, 1, 1], (1, 2)),
+        ([[0, 1, 1], [1, 0, 1], [1, 1, 0]], [1, np.nan, 1], (1,)),
+    ], ids=["nan-distance", "inf-distance", "nan-weight"])
+    def test_nonfinite_rejected(self, tmp_path, dist, weight, witness):
+        with pytest.raises(SpaceValidationError, match="not finite") as err:
+            build_from_table(dist, weight)
+        assert err.value.witness == witness
+        path = tmp_path / "space.json"
+        path.write_text(json.dumps({"n": 3, "dist": dist, "weight": weight,
+                                    "ct": 1.0, "cs": 1.0}))
+        with pytest.raises(SpaceValidationError, match="not finite") as err:
+            load_space_json(path)
+        assert err.value.witness == witness
 
     def test_quasi_triangle_accepts_with_larger_ct(self):
         d = [[0, 1, 5], [1, 0, 1], [5, 1, 0]]

@@ -313,6 +313,11 @@ class TestSuiteRunner:
         assert len(lines) == len(reports) + 1
         assert lines[0].startswith("check,passed")
 
+    def test_runs_on_space_without_circle_angles(self):
+        reports = run_suite({"space": {"kind": "grid2d", "n": 4},
+                             "checks": ["fefferman_stein"], "corpus": {"size": 8}})
+        assert [r.check for r in reports] == ["fefferman_stein"]
+
     def test_merge_config_nested(self):
         cfg = merge_config({"params": {"p": 3.0}})
         assert cfg["params"]["p"] == 3.0
