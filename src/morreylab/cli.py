@@ -207,7 +207,10 @@ def cmd_verify(args) -> int:
         user_cfg["seed"] = args.seed
     if args.jobs is not None:
         user_cfg["jobs"] = args.jobs
-    cfg = verify.merge_config(user_cfg)
+    try:
+        cfg = verify.merge_config(user_cfg)
+    except ValueError as exc:
+        raise CliError(str(exc)) from exc
     if not cfg["checks"]:
         raise CliError("no checks selected")
     unknown = [c for c in cfg["checks"] if not _known_check(c, cfg)]

@@ -276,44 +276,71 @@ def morrey_norm(space: DiscreteHomSpace, f, p: float, lam: float) -> float:
     return morrey_norm_detail(space, f, p, lam).value
 
 
-def _oscillation_table(space: DiscreteHomSpace, f, p: float = 1.0) -> np.ndarray:
-    """(N, R) padded table of (avg_B |f - f_B|^p)^(1/p) over balls centered per row."""
+_BLOCK_BYTES = 512 * 1024  # gather/cumsum buffer of one center block
+_OSC_RANKS = 16  # radius ranks per chunk of the oscillation kernel
+
+
+def _oscillation_table(space: DiscreteHomSpace, f, p: float = 1.0,
+                       center: str = "mean") -> np.ndarray:
+    """(N, R) padded table of (avg_B |f - c_B|^p)^(1/p) over balls centered per row.
+
+    c_B is the ball mean, or for center "median" the lower weighted median:
+    the first value, in increasing order, at which the members' cumulative
+    weight reaches half the ball's measure.  Centers are processed in blocks
+    and ranks in chunks whose (B, K, N) buffer fits a fixed byte budget;
+    each chunk's median search and deviation cumsum stop at the farthest
+    member its balls reach, and ranks past a center's last radius repeat
+    its last value.
+    """
     bf = space.balls
     v = as_values(space, f)
     w = space.weight
     n, rmax = bf.measures.shape
+    chunk = min(rmax, _OSC_RANKS)
+    block = max(1, min(n, _BLOCK_BYTES // (8 * chunk * n)))
+    work = np.empty(block * chunk * n)
+    value_rank = np.argsort(np.argsort(v, kind="stable"))  # ties by atom index
+    # centers with more radii first, so the live rows of a block are a prefix
+    seq = np.argsort(-bf.n_ranks, kind="stable")
     out = np.empty((n, rmax))
-    for c in range(n):
-        idx = bf.order[c]
-        fv, wv = v[idx], w[idx]
-        nr = int(bf.n_ranks[c])
-        ends = bf.counts[c, :nr] - 1
-        mu = bf.measures[c, :nr]
-        means = np.cumsum(fv * wv)[ends] / mu
-        dev = np.abs(fv[None, :] - means[:, None])
-        if p != 1.0:
-            dev **= p
-        osc = np.cumsum(dev * wv[None, :], axis=1)[np.arange(nr), ends] / mu
-        if p != 1.0:
-            osc **= 1.0 / p
-        out[c, :nr] = osc
-        out[c, nr:] = osc[-1]
-    return out
-
-
-def _weighted_median_deviation(values, weights):
-    """min over c of weighted mean |values - c|; c = lower weighted median."""
-    order = np.argsort(values, kind="stable")
-    v, w = values[order], weights[order]
-    cw = np.cumsum(w)
-    total = cw[-1]
-    m = int(np.searchsorted(cw, 0.5 * total, side="left"))
-    med = v[m]
-    cs = np.cumsum(w * v)
-    below_w = cw[m]
-    below_s = cs[m]
-    dev = med * (2.0 * below_w - total) + cs[-1] - 2.0 * below_s
-    return dev / total, float(med)
+    for c0 in range(0, n, block):
+        rows = seq[c0:c0 + block]
+        idx = bf.order[rows]
+        fv, wv, nr = v[idx], w[idx], bf.n_ranks[rows]
+        counts, mu = bf.counts[rows], bf.measures[rows]
+        if center == "mean":
+            means = np.take_along_axis(np.cumsum(fv * wv, axis=1), counts - 1, axis=1) / mu
+        else:
+            ranks = value_rank[idx]
+        for k0 in range(0, int(nr[0]), chunk):
+            k1 = min(k0 + chunk, rmax)
+            m = int(np.count_nonzero(nr > k0))
+            # padded ranks get a one-atom ball and are overwritten below
+            ends = np.where(np.arange(k0, k1) < nr[:m, None], counts[:m, k0:k1] - 1, 0)
+            length = int(ends.max()) + 1
+            if center == "mean":
+                cen = means[:m, k0:k1]
+            else:  # distance positions of the chunk's reach, listed in value order
+                near = np.argsort(ranks[:m, :length], axis=1)
+                cum = work[:m * (k1 - k0) * length].reshape(m, k1 - k0, length)
+                np.multiply(near[:, None, :] <= ends[:, :, None],
+                            np.take_along_axis(wv[:m, :length], near, axis=1)[:, None, :], out=cum)
+                np.cumsum(cum, axis=2, out=cum)
+                half = (cum < 0.5 * cum[:, :, -1:]).sum(axis=2)
+                cen = np.take_along_axis(fv[:m], np.take_along_axis(near, half, axis=1), axis=1)
+            dev = work[:m * (k1 - k0) * length].reshape(m, k1 - k0, length)
+            np.subtract(fv[:m, None, :length], cen[:, :, None], out=dev)
+            np.abs(dev, out=dev)
+            if p != 1.0:
+                dev **= p
+            dev *= wv[:m, None, :length]
+            np.cumsum(dev, axis=2, out=dev)
+            osc = np.take_along_axis(dev, ends[:, :, None], axis=2)[:, :, 0] / mu[:m, k0:k1]
+            if p != 1.0:
+                osc **= 1.0 / p
+            out[rows[:m], k0:k1] = osc
+    last = out[np.arange(n), bf.n_ranks - 1][:, None]
+    return np.where(np.arange(rmax) < bf.n_ranks[:, None], out, last)
 
 
 def bmo_norm(space: DiscreteHomSpace, b, variant: str = "mean",
@@ -321,29 +348,17 @@ def bmo_norm(space: DiscreteHomSpace, b, variant: str = "mean",
     """Bounded-mean-oscillation norm over the realized ball family.
 
     variant "mean":  max_B avg_B |b - b_B|
-    variant "inf":   max_B min_c avg_B |b - c| (c is the weighted median)
+    variant "inf":   max_B min_c avg_B |b - c| (c is the lower weighted median)
     variant "jn":    max_B (avg_B |b - b_B|^p)^(1/p), 1 < p < infinity
     """
-    v = as_values(space, b)
-    if variant == "mean":
-        return float(_oscillation_table(space, v, 1.0).max())
     if variant == "jn":
         if p is None or not (1 < p < math.inf):
             raise ValueError("variant 'jn' needs 1 < p < infinity")
-        return float(_oscillation_table(space, v, p).max())
-    if variant != "inf":
+        return float(_oscillation_table(space, b, p).max())
+    if variant not in ("mean", "inf"):
         raise ValueError(f"unknown BMO variant {variant!r}")
-    bf = space.balls
-    w = space.weight
-    best = 0.0
-    for c in range(space.n):
-        idx = bf.order[c]
-        fv, wv = v[idx], w[idx]
-        for k in range(int(bf.n_ranks[c])):
-            m = int(bf.counts[c, k])
-            dev, _ = _weighted_median_deviation(fv[:m], wv[:m])
-            best = max(best, float(dev))
-    return best
+    return float(_oscillation_table(space, b, 1.0,
+                                    "median" if variant == "inf" else "mean").max())
 
 
 def grand_lebesgue_norm_detail(space: DiscreteHomSpace, f, p: float, theta: float,
@@ -401,9 +416,6 @@ def grand_morrey_norm_detail(space: DiscreteHomSpace, f, params: GrandParams) ->
 def grand_morrey_norm(space: DiscreteHomSpace, f, params: GrandParams) -> float:
     """The generalized grand Morrey norm: the phi functional at s_max."""
     return grand_morrey_norm_detail(space, f, params).value
-
-
-_BLOCK_BYTES = 512 * 1024  # gather/cumsum buffer of one center block
 
 
 class GrandNormEvaluator:

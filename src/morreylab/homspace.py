@@ -390,14 +390,18 @@ def load_space_json(path) -> DiscreteHomSpace:
 
 def load_space_csv(path) -> DiscreteHomSpace:
     """Point cloud ingestion: columns x1..xd plus a final weight column."""
-    rows = []
+    rows, seen = [], False
     with open(path, newline="") as fh:
-        for rec in csv.reader(fh):
+        reader = csv.reader(fh)
+        for rec in reader:
             if not rec or rec[0].lstrip().startswith("#"):
                 continue
             if any(not _is_number(tok) for tok in rec):
-                continue  # header line
-            rows.append([float(tok) for tok in rec])
+                if seen:  # only the first row may be a header
+                    raise ValueError(f"non-numeric data row at line {reader.line_num}")
+            else:
+                rows.append([float(tok) for tok in rec])
+            seen = True
     if not rows:
         raise ValueError("no data rows in point-cloud CSV")
     arr = np.asarray(rows)

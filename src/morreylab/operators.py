@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .funcnorm import TabulatedFunction, as_values
+from .funcnorm import TabulatedFunction, _oscillation_table, as_values
 from .homspace import DiscreteHomSpace
 
 __all__ = [
@@ -75,20 +75,7 @@ def maximal_s(space: DiscreteHomSpace, f, s: float) -> np.ndarray:
 
 def sharp_maximal(space: DiscreteHomSpace, f) -> np.ndarray:
     """f#(x): max over balls centered at x of avg_B |f - f_B|."""
-    bf = space.balls
-    v = as_values(space, f)
-    w = space.weight
-    out = np.empty(space.n)
-    for c in range(space.n):
-        idx = bf.order[c]
-        fv, wv = v[idx], w[idx]
-        nr = int(bf.n_ranks[c])
-        ends = bf.counts[c, :nr] - 1
-        mu = bf.measures[c, :nr]
-        means = np.cumsum(fv * wv)[ends] / mu
-        dev = np.abs(fv[None, :] - means[:, None]) * wv[None, :]
-        out[c] = (np.cumsum(dev, axis=1)[np.arange(nr), ends] / mu).max()
-    return out
+    return _oscillation_table(space, f).max(axis=1)
 
 
 @dataclass(frozen=True)

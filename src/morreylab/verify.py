@@ -166,22 +166,18 @@ def dominance_check(space: DiscreteHomSpace, params: GrandParams, sigma_grid,
         raise ValueError("no grid point below the smallest sigma")
     sig_w = params.phi(sig) ** (1.0 / (params.p - sig))
 
-    def corpus_constant(rows) -> float:
+    def sample_constant(f) -> float:
         best = 0.0
-        for f in rows:
-            prefix = np.maximum.accumulate(ev.weighted_vector(f))
-            phis = prefix[cut - 1]  # Phi(f, s) over grid points strictly < s
-            if phis[-1] <= 0:
-                continue
-            for i in range(sig.size - 1):
-                if phis[i] <= 0:
-                    continue
+        prefix = np.maximum.accumulate(ev.weighted_vector(f))
+        phis = prefix[cut - 1]  # Phi(f, s) over grid points strictly < s
+        if phis[-1] <= 0:
+            return best
+        for i in range(sig.size - 1):
+            if phis[i] > 0:
                 best = max(best, float((phis[i + 1:] * sig_w[i] / phis[i]).max()))
         return best
 
-    rows = list(samples)
-    half = corpus_constant(rows[: max(len(rows) // 2, 1)])
-    full = corpus_constant(rows)
+    half, full = _half_and_full([sample_constant(f) for f in samples], 0.0)
     drift = abs(full - half) / full if full > 0 else 0.0
     passed = math.isfinite(full) and drift <= stability_tol
     return VerificationReport(
@@ -341,7 +337,7 @@ def commutator_suite(space: DiscreteHomSpace, kind: str, f_samples, b_samples,
                       grand-norm ratio into the (psi, A2) bundle, and the exact
                       pointwise domination |[b,I^alpha]f| <= M([b,I^alpha]f).
 
-    Empirical constants are re-measured on the first half of the corpus; the
+    Empirical constants are also taken over the first half of the corpus; the
     report fails if any constant moves more than `stability_tol` or the exact
     pointwise facts fail.
     """
@@ -350,12 +346,7 @@ def commutator_suite(space: DiscreteHomSpace, kind: str, f_samples, b_samples,
     if not rows_f or not rows_b:
         raise AllSamplesDegenerate("empty corpus")
     pairs = [(rows_b[i % len(rows_b)], rows_f[i]) for i in range(len(rows_f))]
-    bmo_cache = {}
-
-    def bmo_of(idx_b):
-        if idx_b not in bmo_cache:
-            bmo_cache[idx_b] = bmo_norm(space, rows_b[idx_b], "mean")
-        return bmo_cache[idx_b]
+    bmo_of = functools.cache(lambda j: bmo_norm(space, rows_b[j], "mean"))
 
     if kind == "cz":
         if kernel is None:
@@ -364,28 +355,24 @@ def commutator_suite(space: DiscreteHomSpace, kind: str, f_samples, b_samples,
         ev = GrandNormEvaluator(space, params_in)
         ev_out = GrandNormEvaluator(space, params_out) if params_out is not None else ev
 
-        def measure(sub):
+        def measure(i, b, f):
+            nb = bmo_of(i % len(rows_b))
+            if nb <= 1e-14:
+                return 0.0, np.nan
+            g = commutator(b, op, f)
             point_c = 0.0
-            grand_c = np.nan
-            for i, (b, f) in enumerate(sub):
-                nb = bmo_of(i % len(rows_b))
-                if nb <= 1e-14:
-                    continue
-                g = commutator(b, op, f)
-                if run_pointwise and (pointwise_limit is None or i < pointwise_limit):
-                    den = nb * (maximal_s(space, op(f), s) + maximal_s(space, f, s))
-                    num = sharp_maximal(space, g)
-                    ok = den > 1e-14 * (1 + np.abs(num))
-                    if ok.any():
-                        point_c = max(point_c, float((num[ok] / den[ok]).max()))
-                nf = ev(f)
-                if nf > 0:
-                    r = ev_out(g) / (nb * nf)
-                    grand_c = r if np.isnan(grand_c) else max(grand_c, r)
-            return point_c, grand_c, True
+            if run_pointwise and (pointwise_limit is None or i < pointwise_limit):
+                den = nb * (maximal_s(space, op(f), s) + maximal_s(space, f, s))
+                num = sharp_maximal(space, g)
+                ok = den > 1e-14 * (1 + np.abs(num))
+                if ok.any():
+                    point_c = float((num[ok] / den[ok]).max())
+            nf = ev(f)
+            return point_c, (ev_out(g) / (nb * nf) if nf > 0 else np.nan)
 
-        p_half, g_half, _ = measure(pairs[: max(len(pairs) // 2, 1)])
-        p_full, g_full, _ = measure(pairs)
+        point, grand = zip(*(measure(i, b, f) for i, (b, f) in enumerate(pairs)))
+        p_half, p_full = _half_and_full(point, 0.0)
+        g_half, g_full = _half_and_full(grand, np.nan)
         if np.isnan(g_full):
             raise AllSamplesDegenerate("no nonzero (b, f) pair")
         drift = max(_drift(p_half, p_full), _drift(g_half, g_full))
@@ -409,29 +396,22 @@ def commutator_suite(space: DiscreteHomSpace, kind: str, f_samples, b_samples,
     theo = constant_formula("potential_commutator_morrey", p=exps.p, q=exps.q,
                             alpha=exps.alpha, lam=exps.lam, s=s, b=cd, c=1.0)
 
-    def measure(sub):
-        morrey_c = np.nan
-        grand_c = np.nan
-        dom_ok = True
-        for i, (b, f) in enumerate(sub):
-            nb = bmo_of(i % len(rows_b))
-            if nb <= 1e-14:
-                continue
-            g = commutator(b, pot, f)
-            mg = maximal(space, g)
-            dom_ok = dom_ok and bool(np.all(np.abs(g) <= mg * (1 + 1e-12) + 1e-300))
-            den_m = nb * morrey_norm(space, f, exps.p, exps.lam)
-            if den_m > 0:
-                r = morrey_norm(space, mg, exps.q, exps.lam) / den_m
-                morrey_c = r if np.isnan(morrey_c) else max(morrey_c, r)
-            den_g = nb * ev_in(f)
-            if den_g > 0:
-                r = ev_out(mg) / den_g
-                grand_c = r if np.isnan(grand_c) else max(grand_c, r)
-        return morrey_c, grand_c, dom_ok
+    def measure(i, b, f):
+        nb = bmo_of(i % len(rows_b))
+        if nb <= 1e-14:
+            return np.nan, np.nan, True
+        g = commutator(b, pot, f)
+        mg = maximal(space, g)
+        dom = bool(np.all(np.abs(g) <= mg * (1 + 1e-12) + 1e-300))
+        den_m = nb * morrey_norm(space, f, exps.p, exps.lam)
+        r_m = morrey_norm(space, mg, exps.q, exps.lam) / den_m if den_m > 0 else np.nan
+        den_g = nb * ev_in(f)
+        return r_m, (ev_out(mg) / den_g if den_g > 0 else np.nan), dom
 
-    m_half, g_half, _ = measure(pairs[: max(len(pairs) // 2, 1)])
-    m_full, g_full, dom_ok = measure(pairs)
+    morrey, grand, dom = zip(*(measure(i, b, f) for i, (b, f) in enumerate(pairs)))
+    m_half, m_full = _half_and_full(morrey, np.nan)
+    g_half, g_full = _half_and_full(grand, np.nan)
+    dom_ok = all(dom)
     if np.isnan(m_full) and np.isnan(g_full):
         raise AllSamplesDegenerate("no nonzero (b, f) pair")
     drift = max(_drift(m_half, m_full), _drift(g_half, g_full))
@@ -445,6 +425,16 @@ def commutator_suite(space: DiscreteHomSpace, kind: str, f_samples, b_samples,
                    "morrey_C_half": m_half, "grand_C_half": g_half},
         theoretical=theo, passed=passed,
         details={"s": s, "doubling_b": cd, "stability_tol": stability_tol})
+
+
+def _half_and_full(values, empty: float) -> tuple[float, float]:
+    """Maxima of per-sample values over the first half of the corpus (at
+    least one sample) and over all of it; NaN marks an excluded sample, and
+    a maximum over no sample is `empty`."""
+    vals = np.asarray(values, dtype=float)
+    half = vals[: max(len(vals) // 2, 1)]
+    return (float(np.fmax.reduce(half, initial=empty)),
+            float(np.fmax.reduce(vals, initial=empty)))
 
 
 def _drift(half: float, full: float) -> float:
@@ -465,21 +455,14 @@ def fefferman_stein_check(space: DiscreteHomSpace, p: float, lam: float,
     w = space.weight
     mu = space.total_measure
 
-    def corpus_constant(rows):
-        best, arg = 0.0, None
-        for i, f in enumerate(rows):
-            f0 = f - float(f @ w) / mu
-            den = morrey_norm(space, sharp_maximal(space, f0), p, lam)
-            if den <= 0:
-                continue
-            r = morrey_norm(space, maximal(space, f0), p, lam) / den
-            if r > best:
-                best, arg = r, i
-        return best, arg
+    def ratio(f) -> float:
+        f0 = f - float(f @ w) / mu
+        den = morrey_norm(space, sharp_maximal(space, f0), p, lam)
+        return morrey_norm(space, maximal(space, f0), p, lam) / den if den > 0 else np.nan
 
-    rows = list(samples)
-    half, _ = corpus_constant(rows[: max(len(rows) // 2, 1)])
-    full, arg = corpus_constant(rows)
+    ratios = np.array([ratio(f) for f in samples])
+    half, full = _half_and_full(ratios, 0.0)
+    arg = int(np.flatnonzero(ratios == full)[0]) if full > 0 else None
     drift = _drift(half, full)
     passed = math.isfinite(full) and full > 0 and drift <= stability_tol
     return VerificationReport(
@@ -593,7 +576,6 @@ def build_calibrated_checks(space: DiscreteHomSpace, *, p: float = 2.0,
     a_table = TabulatedFunction.linear(a_slope, np.linspace(0.0, p - 1.0, 33)[1:]) \
         if a_slope > 0 else TabulatedFunction.zero()
     gp = GrandParams.power(p, lam, theta, A=a_table, max_points=n_eps, ratio=0.7)
-    ev = GrandNormEvaluator(space, gp)
 
     exps = AuxExponents.derive(
         p, alpha, lam, theta1=theta, delta=delta,
@@ -609,8 +591,19 @@ def build_calibrated_checks(space: DiscreteHomSpace, *, p: float = 2.0,
                                 ratio=0.7, max_points=n_eps)
     psi = auxfun.psi_table(exps, grid_out)
     gp_out = GrandParams.tabulated(q, lam, psi, exps.a2, grid_out)
-    ev_in = GrandNormEvaluator(space, gp_in)
-    ev_out = GrandNormEvaluator(space, gp_out)
+    bundles = {"phi": gp, "in": gp_in, "out": gp_out}
+
+    @functools.cache
+    def evaluator(bundle: str) -> GrandNormEvaluator:
+        # each holds an N x R x E table, so it is built on first use
+        return GrandNormEvaluator(space, bundles[bundle])
+
+    ev, ev_in, ev_out = (lambda f, b=b: evaluator(b)(f) for b in bundles)
+
+    @functools.cache
+    def bmo_of(b: bytes) -> float:
+        # keyed by content: the frozen and fresh passes of every check share it
+        return bmo_norm(space, np.frombuffer(b), "mean")
 
     def plain_ratios(op, norm_num, norm_den):
         def run(fc: Corpus, bc: Corpus | None) -> np.ndarray:
@@ -624,7 +617,7 @@ def build_calibrated_checks(space: DiscreteHomSpace, *, p: float = 2.0,
 
     def commutator_ratios(op, norm_num, norm_den, post=None):
         def run(fc: Corpus, bc: Corpus | None) -> np.ndarray:
-            bmo_vals = [bmo_norm(space, b, "mean") for b in bc]
+            bmo_vals = [bmo_of(b.tobytes()) for b in bc]
             out = np.full(len(fc), np.nan)
             for i, f in enumerate(fc):
                 b = bc.samples[i % len(bc)]
@@ -763,9 +756,15 @@ DEFAULT_CONFIG = {
 
 
 def merge_config(user: dict | None) -> dict:
+    """DEFAULT_CONFIG updated by `user`; unknown keys raise ValueError."""
     cfg = json.loads(json.dumps(DEFAULT_CONFIG))  # deep copy
     for key, val in (user or {}).items():
-        if isinstance(val, dict) and isinstance(cfg.get(key), dict):
+        if key not in cfg:
+            raise ValueError(f"unknown config key {key!r}")
+        if isinstance(val, dict) and isinstance(cfg[key], dict):
+            allowed = {"kind", "n", "path"} if key == "space" else set(cfg[key])
+            if val.keys() - allowed:
+                raise ValueError(f"unknown config keys in {key!r}: {sorted(val.keys() - allowed)}")
             cfg[key].update(val)
         else:
             cfg[key] = val
@@ -805,6 +804,7 @@ def run_suite(config: dict | None = None) -> list[VerificationReport]:
                            int(cfg["bmo_corpus"]["size"]),
                            int(cfg["bmo_corpus"]["seed"]))
     p, lam, theta = par["p"], par["lambda"], par["theta"]
+    gp = GrandParams.power(p, lam, theta, max_points=int(par["n_eps"]), ratio=0.7)
 
     checks = build_calibrated_checks(
         space, p=p, lam=lam, theta=theta, alpha=par["alpha"], s=par["s"],
@@ -830,8 +830,6 @@ def run_suite(config: dict | None = None) -> list[VerificationReport]:
         elif name == "aux_functions":
             reports.append(aux_function_report(slope_tol=float(tol["slope_tol"])))
         elif name == "dominance":
-            gp = GrandParams.power(p, lam, theta, max_points=int(par["n_eps"]),
-                                   ratio=0.7)
             sig = gp.eps_grid[gp.eps_grid < gp.smax * 0.95][-6:]
             reports.append(dominance_check(
                 space, gp, sig, fresh.samples, corpus_desc=fresh.descriptor,
@@ -842,8 +840,6 @@ def run_suite(config: dict | None = None) -> list[VerificationReport]:
                 corpus_desc=fresh.descriptor,
                 rel_tol=float(tol["embedding_rel_tol"])))
         elif name in ("reduction_maximal", "reduction_cz"):
-            gp = GrandParams.power(p, lam, theta, max_points=int(par["n_eps"]),
-                                   ratio=0.7)
             sigma = float(gp.eps_grid[-2])
             if name == "reduction_maximal":
                 op, label = (lambda f: maximal(space, f)), "M"
@@ -854,8 +850,6 @@ def run_suite(config: dict | None = None) -> list[VerificationReport]:
                 fresh.samples, corpus_desc=fresh.descriptor, u_name=label,
                 lam_name="Id", jobs=int(cfg["jobs"])))
         elif name == "commutator_cz":
-            gp = GrandParams.power(p, lam, theta, max_points=int(par["n_eps"]),
-                                   ratio=0.7)
             # smooth oscillation family: its extremal pairs recur early, so
             # the max constants saturate well inside the corpus
             sub = make_corpus(space, "trig",

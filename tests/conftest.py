@@ -33,3 +33,24 @@ def cloud20():
 def random_cloud(n, seed, dim=2):
     rng = np.random.default_rng(seed)
     return space_from_points(rng.random((n, dim)), rng.uniform(0.5, 1.5, n) / n)
+
+
+# Spaces for kernel-versus-reference tests: a circle with an odd number of
+# atoms, a tie-free cloud, a 2-D grid with distance ties and a single atom.
+REFERENCE_SPACES = {
+    "circle257": lambda: build_uniform_grid(257, 1, "circle"),
+    "cloud40": lambda: random_cloud(40, 5),
+    "grid2d-ties": lambda: build_uniform_grid(6, 2, "interval"),
+    "single-atom": lambda: build_from_table([[0.0]], [1.0]),
+}
+
+
+def relabeled(space, perm):
+    """The same space with atom perm[i] renamed i."""
+    return build_from_table(space.dist[np.ix_(perm, perm)], space.weight[perm])
+
+
+def tie_heavy_samples(n, seed):
+    """A normal sample and one with many equal values."""
+    rng = np.random.default_rng(seed)
+    return rng.normal(size=n), rng.integers(-2, 3, size=n).astype(float)

@@ -165,6 +165,21 @@ class TestVerifyCommand:
         assert code == 2
         assert "unknown checks" in err
 
+    @pytest.mark.parametrize("user, key", [({"parms": {}}, "parms"),
+                                           ({"params": {"lamda": 0.3}}, "lamda")])
+    def test_unknown_config_key_usage_error(self, capsys, tmp_path, user, key):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(dict(SMALL_VERIFY_CFG, **user)))
+        code, _, err = run(capsys, "verify", "--config", str(cfg))
+        assert code == 2
+        assert key in err
+
+    def test_benchmark_config_keys_accepted(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(dict(SMALL_VERIFY_CFG, seed=7)))
+        code, _, _ = run(capsys, "verify", "--config", str(cfg), "--out", str(tmp_path / "o"))
+        assert code == 0
+
     def test_byte_identical_reports(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(SMALL_VERIFY_CFG))

@@ -6,13 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from morreylab.funcnorm import (EmptyGrid, GrandNormEvaluator, GrandParams,
-                                GridFunction, TabulatedFunction, bmo_norm,
-                                default_eps_grid, grand_lebesgue_norm,
+                                GridFunction, TabulatedFunction, _oscillation_table,
+                                bmo_norm, default_eps_grid, grand_lebesgue_norm,
                                 grand_morrey_norm, lp_norm, morrey_norm,
                                 morrey_norm_detail, phi_functional, s_max)
-from morreylab.homspace import build_from_table, build_uniform_grid
+from morreylab.homspace import build_uniform_grid
 
-from conftest import random_cloud
+from conftest import REFERENCE_SPACES, random_cloud, relabeled, tie_heavy_samples
 
 
 def naive_grand_morrey(space, f, params):
@@ -173,6 +173,102 @@ class TestBmoNorm:
                 assert mean_v <= 2.0 * inf_v * (1 + 1e-12)
 
 
+def reference_oscillation_table(space, f, p=1.0):
+    """Reference: the per-center loop that the blocked oscillation kernel
+    replaced, (avg_B |f - f_B|^p)^(1/p) padded to (N, R)."""
+    bf = space.balls
+    v = np.asarray(f, dtype=float)
+    w = space.weight
+    n, rmax = bf.measures.shape
+    out = np.empty((n, rmax))
+    for c in range(n):
+        idx = bf.order[c]
+        fv, wv = v[idx], w[idx]
+        nr = int(bf.n_ranks[c])
+        ends = bf.counts[c, :nr] - 1
+        mu = bf.measures[c, :nr]
+        means = np.cumsum(fv * wv)[ends] / mu
+        dev = np.abs(fv[None, :] - means[:, None])
+        if p != 1.0:
+            dev **= p
+        osc = np.cumsum(dev * wv[None, :], axis=1)[np.arange(nr), ends] / mu
+        if p != 1.0:
+            osc **= 1.0 / p
+        out[c, :nr] = osc
+        out[c, nr:] = osc[-1]
+    return out
+
+
+def weighted_median_deviation(values, weights):
+    """min over c of weighted mean |values - c|; c = lower weighted median."""
+    order = np.argsort(values, kind="stable")
+    v, w = values[order], weights[order]
+    cw = np.cumsum(w)
+    total = cw[-1]
+    m = int(np.searchsorted(cw, 0.5 * total, side="left"))
+    cs = np.cumsum(w * v)
+    dev = v[m] * (2.0 * cw[m] - total) + cs[-1] - 2.0 * cs[m]
+    return dev / total
+
+
+def reference_bmo_inf(space, b):
+    """Reference: the per-ball double loop that the blocked kernel replaced."""
+    bf = space.balls
+    v = np.asarray(b, dtype=float)
+    best = 0.0
+    for c in range(space.n):
+        idx = bf.order[c]
+        fv, wv = v[idx], space.weight[idx]
+        for k in range(int(bf.n_ranks[c])):
+            m = int(bf.counts[c, k])
+            best = max(best, float(weighted_median_deviation(fv[:m], wv[:m])))
+    return best
+
+
+class TestOscillationKernel:
+    @pytest.mark.parametrize("offset", [0.0, 1e3])
+    @pytest.mark.parametrize("make", REFERENCE_SPACES.values(), ids=REFERENCE_SPACES.keys())
+    def test_mean_and_jn_bit_identical(self, make, offset):
+        sp = make()
+        rng = np.random.default_rng(23)
+        for _ in range(2):
+            f = rng.normal(size=sp.n) * rng.exponential(size=sp.n) + offset
+            ref = reference_oscillation_table(sp, f)
+            assert np.array_equal(_oscillation_table(sp, f), ref)
+            assert bmo_norm(sp, f, "mean") == ref.max()
+            for p in (1.5, 2, 3):
+                ref = reference_oscillation_table(sp, f, p)
+                assert np.array_equal(_oscillation_table(sp, f, p), ref)
+                assert bmo_norm(sp, f, "jn", p=p) == ref.max()
+
+    @pytest.mark.parametrize("offset", [0.0, 1e3])
+    @pytest.mark.parametrize("make", REFERENCE_SPACES.values(), ids=REFERENCE_SPACES.keys())
+    def test_inf_matches_reference(self, make, offset):
+        sp = make()
+        f = np.random.default_rng(29).normal(size=sp.n) + offset
+        got, want = bmo_norm(sp, f, "inf"), reference_bmo_inf(sp, f)
+        assert abs(got - want) <= 1e-12 * want
+
+    def test_inf_on_value_ties(self, grid16):
+        for f in tie_heavy_samples(grid16.n, 3):
+            want = reference_bmo_inf(grid16, f)
+            assert abs(bmo_norm(grid16, f, "inf") - want) <= 1e-12 * want
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.sampled_from([(5, "grid2d"), (20, "cloud")]),
+           st.integers(min_value=0, max_value=2**31 - 1))
+    def test_relabeling_invariance(self, shape, seed):
+        n, kind = shape
+        sp = build_uniform_grid(n, 2, "interval") if kind == "grid2d" \
+            else random_cloud(n, seed % 97)
+        perm = np.random.default_rng(seed).permutation(sp.n)
+        moved = relabeled(sp, perm)
+        for f in tie_heavy_samples(sp.n, seed):
+            for variant, p in (("mean", None), ("jn", 2.5), ("inf", None)):
+                assert bmo_norm(moved, f[perm], variant, p=p) == pytest.approx(
+                    bmo_norm(sp, f, variant, p=p), rel=1e-12, abs=1e-14 * np.abs(f).max())
+
+
 class TestGrandLebesgue:
     def test_zero(self, grid3):
         grid = default_eps_grid(0.9)
@@ -280,12 +376,7 @@ class TestGrandNormEvaluator:
         return GrandNormEvaluator(
             sp, GrandParams.power(2.0, 0.25, 1.0, A=self.A, max_points=16, ratio=0.7))
 
-    @pytest.mark.parametrize("make", [
-        lambda: build_uniform_grid(257, 1, "circle"),
-        lambda: random_cloud(40, 5),
-        lambda: build_uniform_grid(6, 2, "interval"),
-        lambda: build_from_table([[0.0]], [1.0]),
-    ], ids=["circle257", "cloud40", "grid2d-ties", "single-atom"])
+    @pytest.mark.parametrize("make", REFERENCE_SPACES.values(), ids=REFERENCE_SPACES.keys())
     def test_bit_identical_to_unblocked(self, make):
         sp = make()
         ev = self.evaluator(sp)

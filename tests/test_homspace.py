@@ -118,6 +118,18 @@ class TestIngestion:
         assert sp.dist[1, 2] == pytest.approx(np.sqrt(2.0))
         assert sp.total_measure == pytest.approx(1.0)
 
+    def test_csv_rejects_non_numeric_data_row(self, tmp_path):
+        path = tmp_path / "cloud.csv"
+        path.write_text("# cloud\nx,y,w\n0,0,0.5\n1,zero,0.25\n0,1,0.25\n")
+        with pytest.raises(ValueError, match="line 4"):
+            load_space_csv(path)
+
+    def test_csv_header_only_has_no_data_rows(self, tmp_path):
+        path = tmp_path / "cloud.csv"
+        path.write_text("x,y,w\n")
+        with pytest.raises(ValueError, match="no data rows"):
+            load_space_csv(path)
+
 
 class TestBallFamily:
     def test_two_atom_balls(self, two_atom):

@@ -16,7 +16,26 @@ from morreylab.operators import (CZOperator, DiniResult, DivergenceSuspected,
                                  potential_apply, sharp_maximal,
                                  validate_kernel)
 
-from conftest import random_cloud
+from conftest import REFERENCE_SPACES, random_cloud, relabeled, tie_heavy_samples
+
+
+def reference_sharp_maximal(space, f):
+    """Reference: the per-center loop that the blocked oscillation kernel
+    replaced, one (ranks x N) deviation table per center."""
+    bf = space.balls
+    v = np.asarray(f, dtype=float)
+    w = space.weight
+    out = np.empty(space.n)
+    for c in range(space.n):
+        idx = bf.order[c]
+        fv, wv = v[idx], w[idx]
+        nr = int(bf.n_ranks[c])
+        ends = bf.counts[c, :nr] - 1
+        mu = bf.measures[c, :nr]
+        means = np.cumsum(fv * wv)[ends] / mu
+        dev = np.abs(fv[None, :] - means[:, None]) * wv[None, :]
+        out[c] = (np.cumsum(dev, axis=1)[np.arange(nr), ends] / mu).max()
+    return out
 
 
 class TestMaximal:
@@ -98,6 +117,29 @@ class TestSharpMaximal:
         for sp in (cloud20, circle32):
             f = rng.normal(size=sp.n)
             assert np.all(sharp_maximal(sp, f) <= 2.0 * maximal(sp, f) + 1e-12)
+
+    @pytest.mark.parametrize("offset", [0.0, 1e3])
+    @pytest.mark.parametrize("make", REFERENCE_SPACES.values(), ids=REFERENCE_SPACES.keys())
+    def test_bit_identical_to_reference(self, make, offset):
+        sp = make()
+        rng = np.random.default_rng(17)
+        for _ in range(2):
+            f = rng.normal(size=sp.n) * rng.exponential(size=sp.n) + offset
+            assert np.array_equal(sharp_maximal(sp, f), reference_sharp_maximal(sp, f))
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.sampled_from([(5, "grid2d"), (20, "cloud")]),
+           st.integers(min_value=0, max_value=2**31 - 1))
+    def test_relabeling_invariance(self, shape, seed):
+        n, kind = shape
+        sp = build_uniform_grid(n, 2, "interval") if kind == "grid2d" \
+            else random_cloud(n, seed % 97)
+        perm = np.random.default_rng(seed).permutation(sp.n)
+        moved = relabeled(sp, perm)
+        for f in tie_heavy_samples(sp.n, seed):
+            want = sharp_maximal(sp, f)[perm]
+            assert np.allclose(sharp_maximal(moved, f[perm]), want, rtol=1e-12,
+                               atol=1e-14 * np.abs(f).max())
 
 
 class TestCZ:

@@ -6,8 +6,9 @@ import pytest
 
 from morreylab.auxfun import AuxExponents, psi_table
 from morreylab.corpus import make_corpus
-from morreylab.funcnorm import (GrandParams, TabulatedFunction, default_eps_grid,
-                                grand_morrey_norm, lp_norm, morrey_norm)
+from morreylab.funcnorm import (GrandNormEvaluator, GrandParams, TabulatedFunction,
+                                default_eps_grid, grand_morrey_norm, lp_norm,
+                                morrey_norm)
 from morreylab.homspace import build_from_table, build_uniform_grid
 from morreylab.operators import CZOperator, conjugate_kernel, maximal
 from morreylab.verify import (AllSamplesDegenerate, HypothesisFailed,
@@ -224,6 +225,48 @@ class TestFeffermanStein:
         assert "constants excluded" in rep.details["note"]
 
 
+class TestHalfCorpusConstants:
+    """Each *_half field equals the full-corpus constant of the same check
+    run on the first half of the corpus."""
+
+    def test_dominance(self):
+        gp = GrandParams.power(2.0, 0.25, 1.0, max_points=10, ratio=0.7)
+        rows = small_corpus(CIRC32, 25).samples
+        rep = dominance_check(CIRC32, gp, gp.eps_grid[2:8], rows)
+        half = dominance_check(CIRC32, gp, gp.eps_grid[2:8], rows[:12])
+        assert rep.empirical["C_half_corpus"] == half.empirical["C_emp"]
+
+    def test_fefferman_stein(self):
+        rows = make_corpus(CIRC32, "mean_zero_mixed", 21, 5).samples
+        rep = fefferman_stein_check(CIRC32, 2.0, 0.25, rows)
+        half = fefferman_stein_check(CIRC32, 2.0, 0.25, rows[:10])
+        assert rep.empirical["C_half_corpus"] == half.empirical["C_emp"]
+
+    def test_commutator_cz(self):
+        gp = GrandParams.power(2.0, 0.25, 1.0, max_points=8, ratio=0.7)
+        bs = make_corpus(CIRC32, "bmo", 5, 3).samples
+        rows = small_corpus(CIRC32, 17).samples
+        kw = dict(params_in=gp, kernel=conjugate_kernel(CIRC32), s=1.5)
+        rep = commutator_suite(CIRC32, "cz", rows, bs, **kw)
+        half = commutator_suite(CIRC32, "cz", rows[:8], bs, **kw)
+        for key in ("pointwise_C", "grand_C"):
+            assert rep.empirical[key + "_half"] == half.empirical[key]
+
+    def test_commutator_potential(self):
+        exps = AuxExponents.derive(2.0, 0.25, 0.25, theta1=1.0, delta=0.5)
+        grid = default_eps_grid(0.4, ratio=0.7, max_points=6)
+        gp_in = GrandParams.tabulated(2.0, 0.25, TabulatedFunction.power(1.0, grid),
+                                      exps.a1, grid)
+        gp_out = GrandParams.tabulated(exps.q, 0.25, psi_table(exps, grid), exps.a2, grid)
+        bs = make_corpus(CIRC32, "bmo", 5, 3).samples
+        rows = small_corpus(CIRC32, 15).samples
+        kw = dict(params_in=gp_in, params_out=gp_out, exps=exps, s=1.5)
+        rep = commutator_suite(CIRC32, "potential", rows, bs, **kw)
+        half = commutator_suite(CIRC32, "potential", rows[:7], bs, **kw)
+        for key in ("morrey_C", "grand_C"):
+            assert rep.empirical[key + "_half"] == half.empirical[key]
+
+
 class TestStructuredReports:
     def test_eta_identity_report(self):
         rep = eta_identity_report(200, 0)
@@ -246,6 +289,24 @@ def setup():
 
 
 class TestCalibration:
+
+    def test_evaluators_built_on_first_use(self, monkeypatch):
+        built = []
+        init = GrandNormEvaluator.__init__
+
+        def counting_init(ev, space, params):
+            built.append(params)
+            init(ev, space, params)
+
+        monkeypatch.setattr(GrandNormEvaluator, "__init__", counting_init)
+        checks = build_calibrated_checks(CIRC32, n_eps=8)
+        assert built == []
+        fc, bs = small_corpus(CIRC32, 4), make_corpus(CIRC32, "bmo", 2, 1)
+        for name, total in (("maximal_grand", 1), ("cz_grand", 1),
+                            ("cz_commutator_grand", 1), ("potential_commutator_grand", 3)):
+            checks[name].ratios(fc, bs)
+            checks[name].ratios(fc, bs)
+            assert len(built) == total, name
 
     def test_all_checks_calibrate_and_pass(self, setup):
         checks, frozen, fresh, bs = setup
@@ -317,6 +378,28 @@ class TestSuiteRunner:
         reports = run_suite({"space": {"kind": "grid2d", "n": 4},
                              "checks": ["fefferman_stein"], "corpus": {"size": 8}})
         assert [r.check for r in reports] == ["fefferman_stein"]
+
+    @pytest.mark.parametrize("user, key", [
+        ({"parms": {}}, "parms"),
+        ({"params": {"lamda": 0.3}}, "lamda"),
+        ({"space": {"kind": "circle", "size": 8}}, "size"),
+        ({"bmo_corpus": {"sede": 1}}, "sede"),
+    ])
+    def test_merge_config_rejects_unknown_keys(self, user, key):
+        with pytest.raises(ValueError, match=key):
+            merge_config(user)
+
+    def test_merge_config_accepts_every_known_key(self):
+        user = {
+            "space": {"kind": "file", "n": 8, "path": "space.json"},
+            "corpus": {"family": "mixed", "size": 5, "seed": 1},
+            "calibration": {"family": "mixed", "size": 5, "seed": 2, "headroom": 1.5},
+            "bmo_corpus": {"family": "bmo", "size": 4, "seed": 3},
+            "params": {"lambda": 0.3}, "tolerances": {"fs_stability": 0.2},
+            "eta_draws": 10, "seed": 4, "jobs": 1, "checks": ["eta_identity"],
+        }
+        cfg = merge_config(user)
+        assert cfg["space"]["path"] == "space.json" and cfg["params"]["lambda"] == 0.3
 
     def test_merge_config_nested(self):
         cfg = merge_config({"params": {"p": 3.0}})
