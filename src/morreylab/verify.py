@@ -489,8 +489,7 @@ def eta_identity_report(n_draws: int = 1000, seed: int = 0,
         q = 1.0 / (1.0 / p - alpha / (1.0 - lam))
         cap = (1 - lam) ** 2 / (alpha * q**2)
         slope = float(rng.uniform(0.0, 0.9)) * cap
-        a2 = TabulatedFunction.linear(slope, np.geomspace(1e-6, 4.0, 17)) if slope > 0 \
-            else TabulatedFunction.zero()
+        a2 = TabulatedFunction.linear(slope, np.geomspace(1e-6, 4.0, 17))
         delta = float(rng.uniform(0.05, 0.5)) * min(q - 1.0, 1.0)
         exps = AuxExponents.derive(p, alpha, lam, theta1, a2=a2, delta=delta)
         eps = float(rng.uniform(0.05, 1.0)) * delta
@@ -573,24 +572,11 @@ def build_calibrated_checks(space: DiscreteHomSpace, *, p: float = 2.0,
     def cz(f):
         return cz_operator()(f)
 
-    a_table = TabulatedFunction.linear(a_slope, np.linspace(0.0, p - 1.0, 33)[1:]) \
-        if a_slope > 0 else TabulatedFunction.zero()
+    a_table = TabulatedFunction.linear(a_slope, np.linspace(0.0, p - 1.0, 33)[1:])
     gp = GrandParams.power(p, lam, theta, A=a_table, max_points=n_eps, ratio=0.7)
-
-    exps = AuxExponents.derive(
-        p, alpha, lam, theta1=theta, delta=delta,
-        a2=TabulatedFunction.linear(a2_slope, np.geomspace(1e-6, 4.0, 33))
-        if a2_slope > 0 else None)
+    exps, gp_in, gp_out = _potential_bundles(p, alpha, lam, theta, delta, a2_slope, n_eps)
     pot = PotentialOperator(space, alpha)
     q = exps.q
-    grid_in = default_eps_grid(min(p - 1.0, _phibar_cap(exps)) * 0.999,
-                               ratio=0.7, max_points=n_eps)
-    gp_in = GrandParams.tabulated(p, lam, TabulatedFunction.power(theta, grid_in),
-                                  exps.a1, grid_in)
-    grid_out = default_eps_grid(min(q - 1.0, delta ** (1.0 / theta)) * 0.999,
-                                ratio=0.7, max_points=n_eps)
-    psi = auxfun.psi_table(exps, grid_out)
-    gp_out = GrandParams.tabulated(q, lam, psi, exps.a2, grid_out)
     bundles = {"phi": gp, "in": gp_in, "out": gp_out}
 
     @functools.cache
@@ -689,9 +675,22 @@ def build_calibrated_checks(space: DiscreteHomSpace, *, p: float = 2.0,
     return checks
 
 
-def _phibar_cap(exps: AuxExponents) -> float:
-    """Largest input eps covered by the tabulated A1 = A2 o phibar^{-1}."""
-    return float(exps.a1.xs[-1])
+def _potential_bundles(p: float, alpha: float, lam: float, theta: float,
+                       delta: float, a2_slope: float, n_eps: int):
+    """exps, input (theta1, A1) and output (psi, A2) bundles of the potential commutator."""
+    exps = AuxExponents.derive(
+        p, alpha, lam, theta1=theta, delta=delta,
+        a2=TabulatedFunction.linear(a2_slope, np.geomspace(1e-6, 4.0, 33)))
+    # A1 = A2 o phibar^{-1} is tabulated up to its last knot only
+    grid_in = default_eps_grid(min(p - 1.0, float(exps.a1.xs[-1])) * 0.999,
+                               ratio=0.7, max_points=n_eps)
+    gp_in = GrandParams.tabulated(p, lam, TabulatedFunction.power(theta, grid_in),
+                                  exps.a1, grid_in)
+    grid_out = default_eps_grid(min(exps.q - 1.0, delta ** (1.0 / theta)) * 0.999,
+                                ratio=0.7, max_points=n_eps)
+    gp_out = GrandParams.tabulated(exps.q, lam, auxfun.psi_table(exps, grid_out),
+                                   exps.a2, grid_out)
+    return exps, gp_in, gp_out
 
 
 def calibrate(check: CheckDef, frozen_f: Corpus, frozen_b: Corpus | None) -> dict:
@@ -784,113 +783,102 @@ def build_space(space_cfg: dict) -> DiscreteHomSpace:
     raise ValueError(f"unknown space kind {kind!r}")
 
 
+def _check_table(cfg: dict) -> dict[str, Callable[[], VerificationReport]]:
+    """Every check a suite run knows, by name, as a call that makes its report.
+
+    Calibrated checks come from `build_calibrated_checks`; the structural
+    ones share the fresh and b corpora and a plain grand bundle (no A).
+    """
+    space = build_space(cfg["space"])
+    par, tol = cfg["params"], cfg["tolerances"]
+    p, lam, theta, s, n_eps = par["p"], par["lambda"], par["theta"], par["s"], int(par["n_eps"])
+    size, seed = min(int(cfg["corpus"]["size"]), 256), int(cfg["corpus"]["seed"])
+    gp = GrandParams.power(p, lam, theta, max_points=n_eps, ratio=0.7)
+    calibrated = build_calibrated_checks(
+        space, p=p, lam=lam, theta=theta, alpha=par["alpha"], s=s,
+        a_slope=par["a_slope"], a2_slope=par["a2_slope"], delta=par["delta"],
+        cz_ps=tuple(par["cz_ps"]), n_eps=n_eps)
+
+    @functools.cache
+    def corpus(key: str) -> Corpus:
+        sec = cfg[key]
+        return make_corpus(space, sec["family"], int(sec["size"]), int(sec["seed"]))
+
+    fresh, bc = corpus("corpus"), corpus("bmo_corpus")
+    grid = gp.eps_grid[1:]  # dominance sigmas: each needs a grid point below it
+    sigmas = grid[grid < gp.smax * 0.95][-6:]
+
+    def calibrated_report(name: str) -> VerificationReport:
+        cal = calibrate(calibrated[name], corpus("calibration"), bc)
+        return calibrated_regression(calibrated[name], cal, fresh, bc,
+                                     headroom=float(cfg["calibration"]["headroom"]))
+
+    def reduction(label: str, op: Callable) -> VerificationReport:
+        if gp.eps_grid.size < 3:
+            raise ValueError(f"reduction checks need 3 eps grid points: params.n_eps = {n_eps}")
+        return reduction_transfer_check(
+            space, op, lambda f: np.asarray(f, dtype=float), gp, gp,
+            float(gp.eps_grid[-2]), fresh.samples, corpus_desc=fresh.descriptor,
+            u_name=label, lam_name="Id", jobs=int(cfg["jobs"]))
+
+    def commutator_cz() -> VerificationReport:
+        # smooth oscillation family: its extremal pairs recur early, so
+        # the max constants saturate well inside the corpus
+        sub = make_corpus(space, "trig", size, seed + 2)
+        return commutator_suite(
+            space, "cz", sub.samples, bc.samples, params_in=gp,
+            kernel=conjugate_kernel(space), s=s, corpus_desc=sub.descriptor,
+            stability_tol=float(tol["commutator_stability"]))
+
+    def commutator_potential() -> VerificationReport:
+        exps, gp_in, gp_out = _potential_bundles(p, par["alpha"], lam, theta,
+                                                 par["delta"], par["a2_slope"], n_eps)
+        return commutator_suite(
+            space, "potential", fresh.samples[:256], bc.samples, params_in=gp_in,
+            params_out=gp_out, exps=exps, s=s, corpus_desc=fresh.descriptor,
+            stability_tol=float(tol["commutator_stability"]))
+
+    def fefferman_stein() -> VerificationReport:
+        mz = make_corpus(space, "mean_zero_mixed", size, seed + 1)
+        return fefferman_stein_check(space, p, lam, mz.samples, corpus_desc=mz.descriptor,
+                                     stability_tol=float(tol["fs_stability"]))
+
+    return {
+        **{name: functools.partial(calibrated_report, name) for name in calibrated},
+        "eta_identity": lambda: eta_identity_report(
+            int(cfg["eta_draws"]), int(cfg["seed"]), tol=float(tol["eta_tol"])),
+        "aux_functions": lambda: aux_function_report(slope_tol=float(tol["slope_tol"])),
+        "dominance": lambda: dominance_check(
+            space, gp, sigmas, fresh.samples, corpus_desc=fresh.descriptor,
+            stability_tol=float(tol["dominance_stability"])),
+        "embedding_chain": lambda: embedding_chain_check(
+            space, p, theta, 2.0 * theta, (p - 1) / 2.0, fresh.samples,
+            corpus_desc=fresh.descriptor, rel_tol=float(tol["embedding_rel_tol"])),
+        "reduction_maximal": lambda: reduction("M", lambda f: maximal(space, f)),
+        "reduction_cz": lambda: reduction("T", CZOperator(space, conjugate_kernel(space))),
+        "commutator_cz": commutator_cz,
+        "commutator_potential": commutator_potential,
+        "fefferman_stein": fefferman_stein,
+    }
+
+
 def run_suite(config: dict | None = None) -> list[VerificationReport]:
-    """Run the selected checks of a config and return their reports.
+    """Run the selected checks of a config and return their reports in order.
 
     Calibrated checks calibrate on the frozen corpus and re-check on the
     fresh one; structural checks (eta identity, dominance, embeddings,
     transfer, commutator suites, Fefferman-Stein) run on the fresh corpus.
+    Every selected name is looked up before the first check runs.
     """
     cfg = merge_config(config)
     selected = list(cfg["checks"])
     if not selected:
         raise ValueError("no checks selected")
-    space = build_space(cfg["space"])
-    par = cfg["params"]
-    tol = cfg["tolerances"]
-    fresh = make_corpus(space, cfg["corpus"]["family"], int(cfg["corpus"]["size"]),
-                        int(cfg["corpus"]["seed"]))
-    b_corpus = make_corpus(space, cfg["bmo_corpus"]["family"],
-                           int(cfg["bmo_corpus"]["size"]),
-                           int(cfg["bmo_corpus"]["seed"]))
-    p, lam, theta = par["p"], par["lambda"], par["theta"]
-    gp = GrandParams.power(p, lam, theta, max_points=int(par["n_eps"]), ratio=0.7)
-
-    checks = build_calibrated_checks(
-        space, p=p, lam=lam, theta=theta, alpha=par["alpha"], s=par["s"],
-        a_slope=par["a_slope"], a2_slope=par["a2_slope"], delta=par["delta"],
-        cz_ps=tuple(par["cz_ps"]), n_eps=int(par["n_eps"]))
-    frozen = None
-    reports: list[VerificationReport] = []
-
-    for name in selected:
-        if name in checks:
-            if frozen is None:
-                frozen = make_corpus(space, cfg["calibration"]["family"],
-                                     int(cfg["calibration"]["size"]),
-                                     int(cfg["calibration"]["seed"]))
-            cal = calibrate(checks[name], frozen, b_corpus)
-            reports.append(calibrated_regression(
-                checks[name], cal, fresh, b_corpus,
-                headroom=float(cfg["calibration"]["headroom"])))
-        elif name == "eta_identity":
-            reports.append(eta_identity_report(int(cfg["eta_draws"]),
-                                               int(cfg["seed"]),
-                                               tol=float(tol["eta_tol"])))
-        elif name == "aux_functions":
-            reports.append(aux_function_report(slope_tol=float(tol["slope_tol"])))
-        elif name == "dominance":
-            sig = gp.eps_grid[gp.eps_grid < gp.smax * 0.95][-6:]
-            reports.append(dominance_check(
-                space, gp, sig, fresh.samples, corpus_desc=fresh.descriptor,
-                stability_tol=float(tol["dominance_stability"])))
-        elif name == "embedding_chain":
-            reports.append(embedding_chain_check(
-                space, p, theta, 2.0 * theta, (p - 1) / 2.0, fresh.samples,
-                corpus_desc=fresh.descriptor,
-                rel_tol=float(tol["embedding_rel_tol"])))
-        elif name in ("reduction_maximal", "reduction_cz"):
-            sigma = float(gp.eps_grid[-2])
-            if name == "reduction_maximal":
-                op, label = (lambda f: maximal(space, f)), "M"
-            else:
-                op, label = CZOperator(space, conjugate_kernel(space)), "T"
-            reports.append(reduction_transfer_check(
-                space, op, lambda f: np.asarray(f, dtype=float), gp, gp, sigma,
-                fresh.samples, corpus_desc=fresh.descriptor, u_name=label,
-                lam_name="Id", jobs=int(cfg["jobs"])))
-        elif name == "commutator_cz":
-            # smooth oscillation family: its extremal pairs recur early, so
-            # the max constants saturate well inside the corpus
-            sub = make_corpus(space, "trig",
-                              min(int(cfg["corpus"]["size"]), 256),
-                              int(cfg["corpus"]["seed"]) + 2)
-            reports.append(commutator_suite(
-                space, "cz", sub.samples, b_corpus.samples, params_in=gp,
-                kernel=conjugate_kernel(space), s=par["s"],
-                corpus_desc=sub.descriptor,
-                stability_tol=float(tol["commutator_stability"])))
-        elif name == "commutator_potential":
-            exps = AuxExponents.derive(
-                p, par["alpha"], lam, theta1=theta, delta=par["delta"],
-                a2=TabulatedFunction.linear(par["a2_slope"],
-                                            np.geomspace(1e-6, 4.0, 33)))
-            grid_in = default_eps_grid(min(p - 1, _phibar_cap(exps)) * 0.999,
-                                       ratio=0.7, max_points=int(par["n_eps"]))
-            gp_in = GrandParams.tabulated(
-                p, lam, TabulatedFunction.power(theta, grid_in), exps.a1, grid_in)
-            grid_out = default_eps_grid(
-                min(exps.q - 1.0, par["delta"] ** (1.0 / theta)) * 0.999,
-                ratio=0.7, max_points=int(par["n_eps"]))
-            gp_out = GrandParams.tabulated(exps.q, lam,
-                                           auxfun.psi_table(exps, grid_out),
-                                           exps.a2, grid_out)
-            sub = fresh.samples[: min(len(fresh.samples), 256)]
-            reports.append(commutator_suite(
-                space, "potential", sub, b_corpus.samples, params_in=gp_in,
-                params_out=gp_out, exps=exps, s=par["s"],
-                corpus_desc=fresh.descriptor,
-                stability_tol=float(tol["commutator_stability"])))
-        elif name == "fefferman_stein":
-            mz = make_corpus(space, "mean_zero_mixed",
-                             min(int(cfg["corpus"]["size"]), 256),
-                             int(cfg["corpus"]["seed"]) + 1)
-            reports.append(fefferman_stein_check(
-                space, p, lam, mz.samples, corpus_desc=mz.descriptor,
-                stability_tol=float(tol["fs_stability"])))
-        else:
-            raise ValueError(f"unknown check {name!r}")
-    return reports
+    table = _check_table(cfg)
+    unknown = [name for name in selected if name not in table]
+    if unknown:
+        raise ValueError(f"unknown checks in config: {unknown}")
+    return [table[name]() for name in selected]
 
 
 def reports_to_json(reports: Sequence[VerificationReport]) -> str:

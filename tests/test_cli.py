@@ -165,6 +165,21 @@ class TestVerifyCommand:
         assert code == 2
         assert "unknown checks" in err
 
+    @pytest.mark.parametrize("params, check, needle", [
+        ({"a2_slope": -0.05}, "potential_commutator_grand", "A2 slope"),
+        ({"a2_slope": -0.05}, "commutator_potential", "A2 slope"),
+        ({"a_slope": -0.5}, "maximal_grand", "non-decreasing"),
+        ({"n_eps": 1}, "reduction_maximal", "n_eps"),
+    ])
+    def test_bad_params_usage_error(self, capsys, tmp_path, params, check, needle):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(dict(SMALL_VERIFY_CFG, params=params, checks=[check])))
+        code, _, err = run(capsys, "verify", "--config", str(cfg),
+                           "--out", str(tmp_path / "o"))
+        assert code == 2
+        assert needle in err and "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("user, key", [({"parms": {}}, "parms"),
                                            ({"params": {"lamda": 0.3}}, "lamda")])
     def test_unknown_config_key_usage_error(self, capsys, tmp_path, user, key):

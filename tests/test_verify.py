@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from morreylab import verify
 from morreylab.auxfun import AuxExponents, psi_table
 from morreylab.corpus import make_corpus
 from morreylab.funcnorm import (GrandNormEvaluator, GrandParams, TabulatedFunction,
@@ -12,7 +13,7 @@ from morreylab.funcnorm import (GrandNormEvaluator, GrandParams, TabulatedFuncti
 from morreylab.homspace import build_from_table, build_uniform_grid
 from morreylab.operators import CZOperator, conjugate_kernel, maximal
 from morreylab.verify import (AllSamplesDegenerate, HypothesisFailed,
-                              build_calibrated_checks, calibrate,
+                              DEFAULT_CONFIG, build_calibrated_checks, calibrate,
                               calibrated_regression, commutator_suite,
                               dominance_check, embedding_chain_check,
                               eta_identity_report, aux_function_report,
@@ -405,3 +406,61 @@ class TestSuiteRunner:
         cfg = merge_config({"params": {"p": 3.0}})
         assert cfg["params"]["p"] == 3.0
         assert cfg["params"]["theta"] == 1.0
+
+
+class TestCheckTable:
+    SMALL = {"space": {"kind": "circle", "n": 32}, "corpus": {"size": 16},
+             "calibration": {"size": 16}, "bmo_corpus": {"size": 4}}
+
+    def test_unknown_name_rejected_before_any_check_runs(self, monkeypatch):
+        calls = []
+        real = verify.eta_identity_report
+        monkeypatch.setattr(verify, "eta_identity_report",
+                            lambda *a, **k: calls.append(a) or real(*a, **k))
+        cfg = dict(self.SMALL, checks=["eta_identity", "cz_morrey_p2_5"])
+        with pytest.raises(ValueError, match="cz_morrey_p2_5"):
+            run_suite(cfg)
+        assert calls == []
+
+    def test_default_checks_name_each_entry_once(self):
+        table = verify._check_table(merge_config({"space": {"kind": "circle", "n": 16}}))
+        checks = DEFAULT_CONFIG["checks"]
+        assert len(set(checks)) == len(checks)
+        assert sorted(checks) == sorted(table)
+
+    def test_cz_morrey_names_follow_cz_ps(self):
+        table = verify._check_table(merge_config({"space": {"kind": "circle", "n": 16},
+                                                  "params": {"cz_ps": [2.5]}}))
+        assert [n for n in table if n.startswith("cz_morrey")] == ["cz_morrey_p2_5"]
+
+    @pytest.mark.parametrize("n_eps", [3, 6])
+    def test_small_eps_grids_give_reports(self, n_eps):
+        cfg = dict(self.SMALL, params={"n_eps": n_eps},
+                   checks=["dominance", "reduction_maximal"])
+        reports = run_suite(cfg)
+        assert [r.check for r in reports] == ["dominance", "reduction_transfer[M]"]
+        assert len(reports[0].details["sigma_grid"]) == min(n_eps - 1, 6)
+
+    def test_default_dominance_sigmas_unchanged(self):
+        # at 16 eps points the smallest one is never among the six sigmas
+        gp = GrandParams.power(2.0, 0.25, 1.0, max_points=16, ratio=0.7)
+        table = verify._check_table(merge_config({"space": {"kind": "circle", "n": 16},
+                                                  "corpus": {"size": 4}}))
+        rep = table["dominance"]()
+        expected = gp.eps_grid[gp.eps_grid < gp.smax * 0.95][-6:]
+        assert rep.details["sigma_grid"] == expected.tolist()
+
+    def test_zero_slopes_match_zero_tables(self):
+        exps, gp_in, gp_out = verify._potential_bundles(2.0, 0.25, 0.25, 1.0, 0.5, 0.0, 16)
+        ref = AuxExponents.derive(2.0, 0.25, 0.25, theta1=1.0, delta=0.5)
+        assert np.array_equal(exps.a1.xs, ref.a1.xs)
+        assert np.array_equal(exps.a1.ys, ref.a1.ys)
+        grid_in = default_eps_grid(min(1.0, float(ref.a1.xs[-1])) * 0.999,
+                                   ratio=0.7, max_points=16)
+        assert np.array_equal(gp_in.eps_grid, grid_in)
+        assert np.array_equal(gp_out.phi.ys, psi_table(ref, gp_out.eps_grid).ys)
+        assert (gp_in.smax, gp_out.smax) == (1.0, exps.q - 1.0)
+        linear = GrandParams.power(2.0, 0.25, 1.0, max_points=16, ratio=0.7,
+                                   A=TabulatedFunction.linear(0.0, np.linspace(0, 1, 33)[1:]))
+        zero = GrandParams.power(2.0, 0.25, 1.0, max_points=16, ratio=0.7)
+        assert np.array_equal(linear.eps_grid, zero.eps_grid) and linear.smax == zero.smax
