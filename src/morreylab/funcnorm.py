@@ -276,7 +276,7 @@ def morrey_norm(space: DiscreteHomSpace, f, p: float, lam: float) -> float:
     return morrey_norm_detail(space, f, p, lam).value
 
 
-_BLOCK_BYTES = 512 * 1024  # gather/cumsum buffer of one center block
+_BLOCK_BYTES = 512 * 1024  # work buffer of one oscillation-kernel chunk
 _OSC_RANKS = 16  # radius ranks per chunk of the oscillation kernel
 
 
@@ -421,15 +421,20 @@ def grand_morrey_norm(space: DiscreteHomSpace, f, params: GrandParams) -> float:
 class GrandNormEvaluator:
     """Batched grand Morrey norms for one (space, params) pair.
 
-    Precomputes the per-(eps, center, rank) measure normalizations so that
-    evaluating a corpus costs one gather/cumsum pass per function instead of
-    one Morrey call per grid point.  Matches grand_morrey_norm to roundoff.
+    Precomputes mu(B)^(-lam_eff) per (center, rank, eps) in `mu_pow`,
+    stored rank-major so the (N, E) slice of one rank is contiguous, and
+    the int32 step table `steps`.  A call sweeps the ranks once: a running
+    (N, E) ball sum, one row per center, gains each center's next shell of
+    equidistant atoms one step (a row of `steps`) at a time, adding the
+    zero row N where a center's shell is shorter, and is then scaled and
+    folded into an (N, E) peak.  Atoms are added in distance order from
+    +0.0, so the sums equal a per-center cumulative sum bit for bit; a call
+    works in O(N E) memory with no center blocks.  Matches
+    grand_morrey_norm to roundoff.
 
-    Centers are processed in blocks whose (B, N, E) gather buffer fits in a
-    fixed byte budget, so memory is O(N R E) for the normalizations plus
-    that buffer.  Results are memoised per input for the instance's
-    lifetime.  Instances hold scratch buffers and must not be shared across
-    threads.
+    Results are memoised per input for the instance's lifetime.  The memo
+    is the only state calls share and its get and set are atomic, so
+    threads may share an instance (two may compute one new input twice).
     """
 
     def __init__(self, space: DiscreteHomSpace, params: GrandParams):
@@ -442,19 +447,21 @@ class GrandNormEvaluator:
         self.grid = grid
         self.pe = params.p - grid
         lam_eff = np.maximum(params.lam - params.A(grid), 0.0)
-        # mu^(-lam_eff), laid out (N, R, E) so the eps axis is contiguous
-        self.mu_pow = np.ascontiguousarray(
-            bf.measures[:, :, None] ** (-lam_eff[None, None, :]))
+        # mu^(-lam_eff) indexed (N, R, E), stored (R, N, E)
+        self.mu_pow = (np.ascontiguousarray(bf.measures.T)[:, :, None]
+                       ** -lam_eff).transpose(1, 0, 2)
         self.phi_pow = params.phi(grid) ** (1.0 / self.pe)
-        self.order = bf.order
-        n, e = space.n, grid.size
-        block = max(1, min(n, _BLOCK_BYTES // (8 * n * e)))
-        # flat row indices of the rank boundaries inside a block's cumsum table
-        ends = (np.arange(n) % block)[:, None] * n + bf.counts - 1
-        self._blocks = [(c0, min(c0 + block, n), ends[c0:c0 + block].ravel())
-                        for c0 in range(0, n, block)]
-        self._work = np.empty((block, n, e))
-        self._sums = np.empty((block * self.mu_pow.shape[1], e))
+        n = space.n
+        # rank k adds sizes[c, k] atoms to center c in widths[k] steps; the
+        # step of a distance position is its rank's first plus its offset
+        sizes = np.diff(bf.counts, axis=1, prepend=0)
+        widths = sizes.max(axis=0)
+        offset = np.cumsum(widths) - widths - (bf.counts - sizes)
+        step = np.repeat(offset.ravel(), sizes.ravel()).reshape(n, n) + np.arange(n)
+        table = np.full((n, int(widths.sum())), n, dtype=np.int32)
+        np.put_along_axis(table, step, bf.order, axis=1)
+        self.steps = np.ascontiguousarray(table.T)
+        self.widths = widths.tolist()
         self._memo: dict[bytes, np.ndarray] = {}
 
     def morrey_vector(self, f) -> np.ndarray:
@@ -468,18 +475,21 @@ class GrandNormEvaluator:
         return out.copy()
 
     def _morrey_vector(self, v: np.ndarray) -> np.ndarray:
-        e = self.pe.size
-        powers = np.abs(v)[:, None] ** self.pe[None, :] * self.space.weight[:, None]
-        peak = np.full(e, -np.inf)
-        for c0, c1, ends in self._blocks:
-            work = self._work[:c1 - c0]
-            np.take(powers, self.order[c0:c1], axis=0, out=work)
-            np.cumsum(work, axis=1, out=work)
-            sums = self._sums[:ends.size]
-            np.take(work.reshape(-1, e), ends, axis=0, out=sums)
-            sums *= self.mu_pow[c0:c1].reshape(-1, e)
-            np.maximum(peak, sums.max(axis=0), out=peak)
-        return peak ** (1.0 / self.pe)
+        n, e = v.size, self.pe.size
+        powers = np.zeros((n + 1, e))  # row n pads short shells
+        np.multiply(np.abs(v)[:, None] ** self.pe[None, :], self.space.weight[:, None],
+                    out=powers[:n])
+        run, tmp = np.zeros((n, e)), np.empty((n, e))
+        peak = np.full((n, e), -np.inf)
+        t = 0
+        for k, width in enumerate(self.widths):
+            for s in range(t, t + width):
+                np.take(powers, self.steps[s], axis=0, out=tmp)
+                run += tmp
+            t += width
+            np.multiply(run, self.mu_pow[:, k], out=tmp)
+            np.maximum(peak, tmp, out=peak)
+        return peak.max(axis=0) ** (1.0 / self.pe)
 
     def weighted_vector(self, f) -> np.ndarray:
         """phi(eps)^(1/(p-eps)) ||f||_{p-eps, lam-A(eps)} over the grid."""

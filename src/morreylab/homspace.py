@@ -198,13 +198,17 @@ class BallFamily:
     so vectorized maxima over ranks are unaffected.  `order[c]` lists the
     points by distance from center c (stable sort, deterministic);
     the ball at (c, k) is the first `counts[c, k]` entries of that order.
+    It keeps the space's `dist` and `weight`, not the space, so the cached
+    family forms no reference cycle and is freed with its space.
     """
 
-    __slots__ = ("space", "order", "sorted_dist", "radii", "counts",
+    __slots__ = ("dist", "weight", "order", "sorted_dist", "radii", "counts",
                  "measures", "n_ranks", "_open_mu")
 
-    def __init__(self, space, order, sorted_dist, radii, counts, measures, n_ranks):
-        self.space = space
+    def __init__(self, dist, weight, order, sorted_dist, radii, counts, measures,
+                 n_ranks):
+        self.dist = dist
+        self.weight = weight
         self.order = order
         self.sorted_dist = sorted_dist
         self.radii = radii
@@ -247,7 +251,7 @@ class BallFamily:
             measures[c, k:] = mu_rows[c][-1]
         for a in (order, sd, radii, counts, measures, n_ranks):
             a.setflags(write=False)
-        return BallFamily(space, order, sd, radii, counts, measures, n_ranks)
+        return BallFamily(d, w, order, sd, radii, counts, measures, n_ranks)
 
     def radii_of(self, center: int) -> np.ndarray:
         return self.radii[center, : self.n_ranks[center]]
@@ -279,12 +283,12 @@ class BallFamily:
         and makes the smallest denominator the atom's own mass.
         """
         if self._open_mu is None:
-            n = self.space.n
-            w = self.space.weight
+            n = self.dist.shape[0]
+            w = self.weight
             out = np.empty((n, n))
             for c in range(n):
                 radii = self.radii_of(c)
-                rk = np.searchsorted(radii, self.space.dist[c], side="left")
+                rk = np.searchsorted(radii, self.dist[c], side="left")
                 mu = np.where(rk > 0, self.measures[c, np.maximum(rk - 1, 0)], w[c])
                 out[c] = mu
             out.setflags(write=False)

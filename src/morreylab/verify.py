@@ -101,14 +101,14 @@ def _jsonable(obj):
         return {k: _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
+    if isinstance(obj, (np.bool_, bool)):  # before int: bool subclasses int
+        return bool(obj)
     if isinstance(obj, (np.floating, float)):
         return float(obj)
     if isinstance(obj, (np.integer, int)):
         return int(obj)
     if isinstance(obj, np.ndarray):
         return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.bool_, bool)):
-        return bool(obj)
     return obj
 
 

@@ -215,9 +215,12 @@ def test_default_verify_suite_end_to_end(tmp_path):
     t0 = time.perf_counter()
     code = main(["verify", "--out", str(tmp_path), "--jobs", "1"])
     dt = time.perf_counter() - t0
-    reports = json.loads((tmp_path / "reports.json").read_text())
+    text = (tmp_path / "reports.json").read_text()
+    reports = json.loads(text)
     failing = [r["check"] for r in reports if not r["passed"]]
     assert (tmp_path / "reports.csv").exists()
+    assert '"pointwise_domination": true' in text
+    assert '"exact_ordering_asserted": true' in text
     print(f"    default suite: {len(reports)} checks in {dt:.0f}s")
     _line(0, "default verification suite passes end to end",
           code == 0 and not failing, f"failing: {failing}")

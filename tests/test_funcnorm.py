@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -10,7 +12,7 @@ from morreylab.funcnorm import (EmptyGrid, GrandNormEvaluator, GrandParams,
                                 bmo_norm, default_eps_grid, grand_lebesgue_norm,
                                 grand_morrey_norm, lp_norm, morrey_norm,
                                 morrey_norm_detail, phi_functional, s_max)
-from morreylab.homspace import build_uniform_grid
+from morreylab.homspace import build_from_table, build_uniform_grid
 
 from conftest import REFERENCE_SPACES, random_cloud, relabeled, tie_heavy_samples
 
@@ -384,6 +386,68 @@ class TestGrandNormEvaluator:
         for _ in range(3):
             f = rng.normal(size=sp.n) * rng.exponential(size=sp.n)
             assert np.array_equal(ev.morrey_vector(f), unblocked_morrey_vector(ev, f))
+
+    @pytest.mark.parametrize("make", [
+        lambda: build_uniform_grid(256, 1, "interval"),
+        lambda: build_from_table(build_uniform_grid(7, 2, "interval").dist,
+                                 np.random.default_rng(4).uniform(0.2, 1.8, 49) / 49),
+    ], ids=["interval256", "grid2d-weighted"])
+    def test_bit_identical_with_uneven_shells(self, make):
+        sp = make()
+        ev = self.evaluator(sp)
+        assert np.any(ev.steps == sp.n)  # some centers add the zero row
+        rng = np.random.default_rng(22)
+        samples = [rng.normal(size=sp.n) * rng.exponential(size=sp.n),
+                   *tie_heavy_samples(sp.n, 23), np.zeros(sp.n)]
+        for f in samples:
+            assert np.array_equal(ev.morrey_vector(f), unblocked_morrey_vector(ev, f))
+
+    @pytest.mark.parametrize("make", REFERENCE_SPACES.values(), ids=REFERENCE_SPACES.keys())
+    def test_bit_identical_on_ties_and_zeros(self, make):
+        sp = make()
+        ev = self.evaluator(sp)
+        ties = tie_heavy_samples(sp.n, 24)[1]
+        assert sp.n == 1 or np.any(ties == 0.0)
+        for f in (ties, np.zeros(sp.n)):
+            assert np.array_equal(ev.morrey_vector(f), unblocked_morrey_vector(ev, f))
+        assert np.all(ev.morrey_vector(np.zeros(sp.n)) == 0.0)
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.sampled_from([(6, "grid2d"), (24, "cloud"), (33, "circle")]),
+           st.integers(min_value=0, max_value=2**31 - 1))
+    def test_relabeling_invariance(self, shape, seed):
+        n, kind = shape
+        sp = {"grid2d": lambda: build_uniform_grid(n, 2, "interval"),
+              "cloud": lambda: random_cloud(n, seed % 97),
+              "circle": lambda: build_uniform_grid(n, 1, "circle")}[kind]()
+        perm = np.random.default_rng(seed).permutation(sp.n)
+        moved = self.evaluator(relabeled(sp, perm))
+        ev = self.evaluator(sp)
+        for f in tie_heavy_samples(sp.n, seed):
+            want = ev.morrey_vector(f)
+            assert np.allclose(moved.morrey_vector(f[perm]), want, rtol=1e-12, atol=0.0)
+
+    def test_call_working_set_is_linear_in_n(self):
+        sp = build_uniform_grid(256, 1, "circle")
+        ev = self.evaluator(sp)
+        f = np.random.default_rng(25).normal(size=sp.n)
+        tracemalloc.start()
+        try:
+            ev.morrey_vector(f)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        row_table = 8 * sp.n * ev.pe.size  # bytes of one (N, E) float64 array
+        # an (N, N, E) buffer would be N = 256 times row_table
+        assert peak <= 8 * row_table, (peak, row_table)
+
+    def test_threads_may_share_an_instance(self, circle32):
+        ev = self.evaluator(circle32)
+        fs = np.random.default_rng(26).normal(size=(16, 32))
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            got = list(pool.map(ev.morrey_vector, [*fs, *fs]))
+        for f, g in zip([*fs, *fs], got):
+            assert np.array_equal(g, unblocked_morrey_vector(ev, f))
 
     def test_memo_returns_equal_private_copies(self, circle32):
         ev = self.evaluator(circle32)

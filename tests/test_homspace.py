@@ -1,4 +1,6 @@
+import gc
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -171,6 +173,21 @@ class TestBallFamily:
         b = realized_balls(build_from_table(cloud20.dist, cloud20.weight))
         assert np.array_equal(a.order, b.order)
         assert np.array_equal(a.counts, b.counts)
+
+    def test_space_with_cached_balls_freed_without_collection(self):
+        sp = build_uniform_grid(16, 1, "circle")
+        sp.balls.open_measure
+        ref = weakref.ref(sp)
+        gc.disable()
+        try:
+            del sp
+            assert ref() is None
+        finally:
+            gc.enable()
+
+    def test_family_outlives_its_space(self, circle32):
+        bf = realized_balls(build_from_table(circle32.dist, circle32.weight))
+        assert np.array_equal(bf.open_measure, circle32.balls.open_measure)
 
     def test_members_match_direct_enumeration(self, cloud20):
         # oracle: recompute membership from the raw distance rows

@@ -368,6 +368,21 @@ class TestSuiteRunner:
         b = reports_to_json(run_suite(self.CFG))
         assert a == b
 
+    def test_booleans_stay_booleans_in_json(self):
+        cfg = dict(self.CFG, checks=["embedding_chain", "commutator_potential"])
+        text = reports_to_json(run_suite(cfg))
+        assert '"exact_ordering_asserted": true' in text
+        assert '"pointwise_domination": true' in text
+        empirical = {r["check"]: r["empirical"] for r in json.loads(text)}
+        assert empirical["commutator_potential"]["pointwise_domination"] is True
+        assert empirical["embedding_chain"]["violations"] == 0
+
+    def test_jsonable_keeps_bools_ints_and_floats_apart(self):
+        out = verify._jsonable({"a": True, "b": np.bool_(False), "c": np.int64(3),
+                                "d": [1, np.float64(0.5)], "e": np.array([True, False])})
+        assert json.dumps(out) == \
+            '{"a": true, "b": false, "c": 3, "d": [1, 0.5], "e": [true, false]}'
+
     def test_csv_summary_shape(self):
         reports = run_suite(self.CFG)
         csv_text = reports_to_csv(reports)
