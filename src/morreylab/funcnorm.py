@@ -276,7 +276,10 @@ def morrey_norm(space: DiscreteHomSpace, f, p: float, lam: float) -> float:
     return morrey_norm_detail(space, f, p, lam).value
 
 
-_BLOCK_BYTES = 512 * 1024  # work buffer of one oscillation-kernel chunk
+# work buffers of one oscillation-kernel chunk and of one column block of
+# the grand sweep; the sweep's four (N, C E) arrays stay near it, so C falls
+# to one input at large N, where wider blocks measured slower
+_BLOCK_BYTES = 512 * 1024
 _OSC_RANKS = 16  # radius ranks per chunk of the oscillation kernel
 
 
@@ -421,19 +424,24 @@ def grand_morrey_norm(space: DiscreteHomSpace, f, params: GrandParams) -> float:
 class GrandNormEvaluator:
     """Batched grand Morrey norms for one (space, params) pair.
 
+    Every method takes one input of shape (N,) or a stack of M inputs of
+    shape (M, N), and answers per input: (E,) or (M, E) vectors, a float or
+    an (M,) array.  A single input is a stack of one; there is one path.
+
     Precomputes mu(B)^(-lam_eff) per (center, rank, eps) in `mu_pow`,
     stored rank-major so the (N, E) slice of one rank is contiguous, and
-    the int32 step table `steps`.  A call sweeps the ranks once: a running
-    (N, E) ball sum, one row per center, gains each center's next shell of
-    equidistant atoms one step (a row of `steps`) at a time, adding the
-    zero row N where a center's shell is shorter, and is then scaled and
-    folded into an (N, E) peak.  Atoms are added in distance order from
-    +0.0, so the sums equal a per-center cumulative sum bit for bit; a call
-    works in O(N E) memory with no center blocks.  Matches
-    grand_morrey_norm to roundoff.
+    the int32 step table `steps`.  Inputs are swept in column blocks of C
+    inputs, C sized so the sweep's arrays fit `_BLOCK_BYTES`.  A block
+    sweeps the ranks once: a running (N, C E) ball sum, one row per center,
+    gains each center's next shell of equidistant atoms one step (a row of
+    `steps`) at a time, adding the zero row N where a center's shell is
+    shorter, and is then scaled and folded into an (N, C, E) peak.  Each
+    column adds its atoms in distance order from +0.0, so the sums equal a
+    per-center cumulative sum bit for bit whatever C is; a block works in
+    O(N C E) memory.  Matches grand_morrey_norm to roundoff.
 
-    Results are memoised per input for the instance's lifetime.  The memo
-    is the only state calls share and its get and set are atomic, so
+    Results are memoised per input row for the instance's lifetime.  The
+    memo is the only state calls share and its get and set are atomic, so
     threads may share an instance (two may compute one new input twice).
     """
 
@@ -462,38 +470,54 @@ class GrandNormEvaluator:
         np.put_along_axis(table, step, bf.order, axis=1)
         self.steps = np.ascontiguousarray(table.T)
         self.widths = widths.tolist()
+        # inputs per column block: powers, run, tmp and peak are (N, C E) each
+        self.columns = max(1, _BLOCK_BYTES // (4 * 8 * n * self.pe.size))
         self._memo: dict[bytes, np.ndarray] = {}
 
     def morrey_vector(self, f) -> np.ndarray:
-        """Per-grid-point Morrey norms ||f||_{p-eps, lam-A(eps)}, shape (E,)."""
-        v = as_values(self.space, f)
-        key = hashlib.blake2b(v.tobytes(), digest_size=16).digest()
-        out = self._memo.get(key)
-        if out is None:
-            out = self._morrey_vector(v)
-            self._memo[key] = out
-        return out.copy()
-
-    def _morrey_vector(self, v: np.ndarray) -> np.ndarray:
-        n, e = v.size, self.pe.size
-        powers = np.zeros((n + 1, e))  # row n pads short shells
-        np.multiply(np.abs(v)[:, None] ** self.pe[None, :], self.space.weight[:, None],
-                    out=powers[:n])
-        run, tmp = np.zeros((n, e)), np.empty((n, e))
-        peak = np.full((n, e), -np.inf)
-        t = 0
-        for k, width in enumerate(self.widths):
-            for s in range(t, t + width):
-                np.take(powers, self.steps[s], axis=0, out=tmp)
-                run += tmp
-            t += width
-            np.multiply(run, self.mu_pow[:, k], out=tmp)
-            np.maximum(peak, tmp, out=peak)
-        return peak.max(axis=0) ** (1.0 / self.pe)
+        """Per-grid-point Morrey norms ||f||_{p-eps, lam-A(eps)}: shape (E,)
+        for one input, (M, E) for a stack of M."""
+        n, e = self.space.n, self.pe.size
+        single = isinstance(f, GridFunction) or np.ndim(f) == 1
+        rows = as_values(self.space, f)[None] if single else np.asarray(f, dtype=float)
+        if rows.ndim != 2 or rows.shape[1] != n:
+            raise ValueError(f"expected (M, {n}) values, got shape {rows.shape}")
+        if not np.all(np.isfinite(rows)):
+            raise ValueError("grid function values must be finite")
+        keys = [hashlib.blake2b(r.tobytes(), digest_size=16).digest() for r in rows]
+        todo: dict[bytes, int] = {}  # first row of each input the memo lacks
+        for i, key in enumerate(keys):
+            if key not in self._memo:
+                todo.setdefault(key, i)
+        missing, at = list(todo), list(todo.values())
+        for c0 in range(0, len(missing), self.columns):
+            c1 = c0 + self.columns
+            block = rows[at[c0:c1]]
+            c = len(block)
+            powers = np.zeros((n + 1, c, e))  # row n pads short shells
+            np.power(np.abs(block.T)[:, :, None], self.pe, out=powers[:n])
+            powers[:n] *= self.space.weight[:, None, None]
+            powers = powers.reshape(n + 1, c * e)
+            run, tmp = np.zeros((n, c * e)), np.empty((n, c * e))
+            peak = np.full((n, c, e), -np.inf)
+            t = 0
+            for k, width in enumerate(self.widths):
+                for s in range(t, t + width):
+                    powers.take(self.steps[s], axis=0, out=tmp)
+                    run += tmp
+                t += width
+                scaled = tmp.reshape(n, c, e)
+                np.multiply(run.reshape(n, c, e), self.mu_pow[:, k][:, None, :], out=scaled)
+                np.maximum(peak, scaled, out=peak)
+            self._memo.update(zip(missing[c0:c1], peak.max(axis=0) ** (1.0 / self.pe)))
+        out = np.array([self._memo[key] for key in keys]).reshape(len(keys), e)
+        return out[0] if single else out
 
     def weighted_vector(self, f) -> np.ndarray:
-        """phi(eps)^(1/(p-eps)) ||f||_{p-eps, lam-A(eps)} over the grid."""
+        """phi(eps)^(1/(p-eps)) ||f||_{p-eps, lam-A(eps)} over the grid, per input."""
         return self.phi_pow * self.morrey_vector(f)
 
-    def __call__(self, f) -> float:
-        return float(self.weighted_vector(f).max())
+    def __call__(self, f):
+        """The grand norm: a float for one input, an (M,) array for a stack."""
+        out = self.weighted_vector(f).max(axis=-1)
+        return float(out) if out.ndim == 0 else out

@@ -166,9 +166,9 @@ def dominance_check(space: DiscreteHomSpace, params: GrandParams, sigma_grid,
         raise ValueError("no grid point below the smallest sigma")
     sig_w = params.phi(sig) ** (1.0 / (params.p - sig))
 
-    def sample_constant(f) -> float:
+    def sample_constant(weighted: np.ndarray) -> float:
         best = 0.0
-        prefix = np.maximum.accumulate(ev.weighted_vector(f))
+        prefix = np.maximum.accumulate(weighted)
         phis = prefix[cut - 1]  # Phi(f, s) over grid points strictly < s
         if phis[-1] <= 0:
             return best
@@ -177,7 +177,8 @@ def dominance_check(space: DiscreteHomSpace, params: GrandParams, sigma_grid,
                 best = max(best, float((phis[i + 1:] * sig_w[i] / phis[i]).max()))
         return best
 
-    half, full = _half_and_full([sample_constant(f) for f in samples], 0.0)
+    weighted = ev.weighted_vector(_stack(space, samples))
+    half, full = _half_and_full([sample_constant(w) for w in weighted], 0.0)
     drift = abs(full - half) / full if full > 0 else 0.0
     passed = math.isfinite(full) and drift <= stability_tol
     return VerificationReport(
@@ -265,7 +266,7 @@ def reduction_transfer_check(space: DiscreteHomSpace, U: Callable, Lam: Callable
 
     p, q = params_in.p, params_out.p
     ev_in = GrandNormEvaluator(space, params_in)
-    ev_out = GrandNormEvaluator(space, params_out)
+    ev_out = ev_in if params_out is params_in else GrandNormEvaluator(space, params_out)
     if ev_in.grid.shape != ev_out.grid.shape or not np.array_equal(ev_in.grid,
                                                                    ev_out.grid):
         raise ValueError("transfer check needs a shared evaluable eps grid")
@@ -280,9 +281,9 @@ def reduction_transfer_check(space: DiscreteHomSpace, U: Callable, Lam: Callable
     c0 = 0.0
     worst = None
     psig = params_out.phi(sigma) ** (1.0 / (q - sigma))
-    for i in range(len(rows)):
-        mv_in = ev_in.morrey_vector(lf[i])
-        mv_out = ev_out.morrey_vector(uf[i])
+    mvs_in = ev_in.morrey_vector(_stack(space, lf))
+    mvs_out = ev_out.morrey_vector(_stack(space, uf))
+    for i, (mv_in, mv_out) in enumerate(zip(mvs_in, mvs_out)):
         num, den = mv_out[:cut], mv_in[:cut]
         dead = den <= 0
         if np.any(dead & (num > 0)):
@@ -345,8 +346,11 @@ def commutator_suite(space: DiscreteHomSpace, kind: str, f_samples, b_samples,
     rows_b = list(b_samples)
     if not rows_f or not rows_b:
         raise AllSamplesDegenerate("empty corpus")
-    pairs = [(rows_b[i % len(rows_b)], rows_f[i]) for i in range(len(rows_f))]
-    bmo_of = functools.cache(lambda j: bmo_norm(space, rows_b[j], "mean"))
+    bmo_vals = [bmo_norm(space, b, "mean") for b in rows_b[:len(rows_f)]]
+    nbs = np.array([bmo_vals[i % len(rows_b)] for i in range(len(rows_f))])
+    live = np.flatnonzero(nbs > 1e-14)  # pairs with a constant b are excluded
+    fs = _stack(space, rows_f)[live]
+    grand = np.full(len(rows_f), np.nan)
 
     if kind == "cz":
         if kernel is None:
@@ -354,23 +358,19 @@ def commutator_suite(space: DiscreteHomSpace, kind: str, f_samples, b_samples,
         op = CZOperator(space, kernel)
         ev = GrandNormEvaluator(space, params_in)
         ev_out = GrandNormEvaluator(space, params_out) if params_out is not None else ev
-
-        def measure(i, b, f):
-            nb = bmo_of(i % len(rows_b))
-            if nb <= 1e-14:
-                return 0.0, np.nan
-            g = commutator(b, op, f)
-            point_c = 0.0
+        point = np.zeros(len(rows_f))
+        gs = []
+        for i, f in zip(live, fs):
+            gs.append(commutator(rows_b[i % len(rows_b)], op, f))
             if run_pointwise and (pointwise_limit is None or i < pointwise_limit):
-                den = nb * (maximal_s(space, op(f), s) + maximal_s(space, f, s))
-                num = sharp_maximal(space, g)
+                den = nbs[i] * (maximal_s(space, op(f), s) + maximal_s(space, f, s))
+                num = sharp_maximal(space, gs[-1])
                 ok = den > 1e-14 * (1 + np.abs(num))
                 if ok.any():
-                    point_c = float((num[ok] / den[ok]).max())
-            nf = ev(f)
-            return point_c, (ev_out(g) / (nb * nf) if nf > 0 else np.nan)
-
-        point, grand = zip(*(measure(i, b, f) for i, (b, f) in enumerate(pairs)))
+                    point[i] = float((num[ok] / den[ok]).max())
+        nf = ev(fs)
+        pos = nf > 0
+        grand[live[pos]] = ev_out(_stack(space, gs)[pos]) / (nbs[live[pos]] * nf[pos])
         p_half, p_full = _half_and_full(point, 0.0)
         g_half, g_full = _half_and_full(grand, np.nan)
         if np.isnan(g_full):
@@ -396,22 +396,20 @@ def commutator_suite(space: DiscreteHomSpace, kind: str, f_samples, b_samples,
     theo = constant_formula("potential_commutator_morrey", p=exps.p, q=exps.q,
                             alpha=exps.alpha, lam=exps.lam, s=s, b=cd, c=1.0)
 
-    def measure(i, b, f):
-        nb = bmo_of(i % len(rows_b))
-        if nb <= 1e-14:
-            return np.nan, np.nan, True
-        g = commutator(b, pot, f)
-        mg = maximal(space, g)
-        dom = bool(np.all(np.abs(g) <= mg * (1 + 1e-12) + 1e-300))
-        den_m = nb * morrey_norm(space, f, exps.p, exps.lam)
-        r_m = morrey_norm(space, mg, exps.q, exps.lam) / den_m if den_m > 0 else np.nan
-        den_g = nb * ev_in(f)
-        return r_m, (ev_out(mg) / den_g if den_g > 0 else np.nan), dom
-
-    morrey, grand, dom = zip(*(measure(i, b, f) for i, (b, f) in enumerate(pairs)))
+    morrey = np.full(len(rows_f), np.nan)
+    mgs, dom_ok = [], True
+    for i, f in zip(live, fs):
+        g = commutator(rows_b[i % len(rows_b)], pot, f)
+        mgs.append(maximal(space, g))
+        dom_ok &= bool(np.all(np.abs(g) <= mgs[-1] * (1 + 1e-12) + 1e-300))
+        den_m = nbs[i] * morrey_norm(space, f, exps.p, exps.lam)
+        if den_m > 0:
+            morrey[i] = morrey_norm(space, mgs[-1], exps.q, exps.lam) / den_m
+    den_g = nbs[live] * ev_in(fs)
+    pos = den_g > 0
+    grand[live[pos]] = ev_out(_stack(space, mgs)[pos]) / den_g[pos]
     m_half, m_full = _half_and_full(morrey, np.nan)
     g_half, g_full = _half_and_full(grand, np.nan)
-    dom_ok = all(dom)
     if np.isnan(m_full) and np.isnan(g_full):
         raise AllSamplesDegenerate("no nonzero (b, f) pair")
     drift = max(_drift(m_half, m_full), _drift(g_half, g_full))
@@ -425,6 +423,12 @@ def commutator_suite(space: DiscreteHomSpace, kind: str, f_samples, b_samples,
                    "morrey_C_half": m_half, "grand_C_half": g_half},
         theoretical=theo, passed=passed,
         details={"s": s, "doubling_b": cd, "stability_tol": stability_tol})
+
+
+def _stack(space: DiscreteHomSpace, rows) -> np.ndarray:
+    """Inputs as one (M, N) array for the grand evaluator; no input gives (0, N)."""
+    rows = list(rows)
+    return np.asarray(rows, dtype=float).reshape(len(rows), space.n)
 
 
 def _half_and_full(values, empty: float) -> tuple[float, float]:
@@ -591,35 +595,33 @@ def build_calibrated_checks(space: DiscreteHomSpace, *, p: float = 2.0,
         # keyed by content: the frozen and fresh passes of every check share it
         return bmo_norm(space, np.frombuffer(b), "mean")
 
+    # norms take an (M, N) stack: grand norms evaluate it in one call, while
+    # operators still run per sample, so their summation order is unchanged
     def plain_ratios(op, norm_num, norm_den):
         def run(fc: Corpus, bc: Corpus | None) -> np.ndarray:
             out = np.full(len(fc), np.nan)
-            for i, f in enumerate(fc):
-                den = norm_den(f)
-                if den > 0:
-                    out[i] = norm_num(op(f)) / den
+            den = norm_den(fc.samples)
+            live = np.flatnonzero(den > 0)
+            out[live] = norm_num(_stack(space, map(op, fc.samples[live]))) / den[live]
             return out
         return run
 
-    def commutator_ratios(op, norm_num, norm_den, post=None):
+    def commutator_ratios(op, norm_num, norm_den, post=lambda g: g):
         def run(fc: Corpus, bc: Corpus | None) -> np.ndarray:
             bmo_vals = [bmo_of(b.tobytes()) for b in bc]
+            nbs = np.array([bmo_vals[i % len(bc)] for i in range(len(fc))])
             out = np.full(len(fc), np.nan)
-            for i, f in enumerate(fc):
-                b = bc.samples[i % len(bc)]
-                nb = bmo_vals[i % len(bc)]
-                den = nb * norm_den(f)
-                if den <= 0:
-                    continue
-                g = commutator(b, op, f)
-                if post is not None:
-                    g = post(g)
-                out[i] = norm_num(g) / den
+            den = nbs * norm_den(fc.samples)
+            live = np.flatnonzero(den > 0)
+            gs = (post(commutator(bc.samples[i % len(bc)], op, fc.samples[i])) for i in live)
+            out[live] = norm_num(_stack(space, gs)) / den[live]
             return out
         return run
 
-    morrey_p = lambda g: morrey_norm(space, g, p, lam)
-    morrey_q = lambda g: morrey_norm(space, g, q, lam)
+    def morrey(r: float):
+        return lambda gs: np.array([morrey_norm(space, g, r, lam) for g in gs])
+
+    morrey_p, morrey_q = morrey(p), morrey(q)
 
     checks = {
         "maximal_morrey": CheckDef(
@@ -667,8 +669,7 @@ def build_calibrated_checks(space: DiscreteHomSpace, *, p: float = 2.0,
         checks[key] = CheckDef(
             key,
             "||Tf||_{p,lam} <= C_{p,lam} ||f||_{p,lam} (two-branch constant)",
-            plain_ratios(cz, lambda g, cp=cp: morrey_norm(space, g, cp, lam),
-                         lambda f, cp=cp: morrey_norm(space, f, cp, lam)),
+            plain_ratios(cz, morrey(cp), morrey(cp)),
             formula=(lambda c, cp=cp: constant_formula("cz_morrey", p=cp,
                                                        lam=lam, c=c))
             if cp != 2 else None)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from morreylab import funcnorm
 from morreylab.funcnorm import (EmptyGrid, GrandNormEvaluator, GrandParams,
                                 GridFunction, TabulatedFunction, _oscillation_table,
                                 bmo_norm, default_eps_grid, grand_lebesgue_norm,
@@ -371,6 +372,16 @@ def unblocked_morrey_vector(ev, f):
     return sums.max(axis=(0, 1)) ** (1.0 / ev.pe)
 
 
+# stack tests run on every reference space and both uneven-shell spaces
+STACK_SPACES = {
+    **REFERENCE_SPACES,
+    "interval256": lambda: build_uniform_grid(256, 1, "interval"),
+    "grid2d-weighted": lambda: build_from_table(
+        build_uniform_grid(7, 2, "interval").dist,
+        np.random.default_rng(4).uniform(0.2, 1.8, 49) / 49),
+}
+
+
 class TestGrandNormEvaluator:
     A = TabulatedFunction.linear(0.5, np.linspace(0.0, 1.0, 33)[1:])
 
@@ -457,6 +468,77 @@ class TestGrandNormEvaluator:
         assert np.array_equal(ev.morrey_vector(f), expected)
         first[:] = -1.0
         assert np.array_equal(ev.morrey_vector(f), expected)
+
+    @pytest.mark.parametrize("make", STACK_SPACES.values(), ids=STACK_SPACES.keys())
+    def test_stacks_bit_identical_at_every_block_edge(self, make):
+        sp = make()
+        ev = self.evaluator(sp)
+        c = ev.columns
+        rng = np.random.default_rng(27)
+        for m in sorted({0, 1, c - 1, c, c + 1, 2 * c + 3}):
+            fs = rng.normal(size=(m, sp.n)) * rng.exponential(size=(m, sp.n))
+            fs[1::3] = rng.integers(-2, 3, size=fs[1::3].shape)  # ties and zeros
+            got = ev.morrey_vector(fs)
+            assert got.shape == (m, ev.pe.size)
+            for f, row in zip(fs, got):
+                assert np.array_equal(row, unblocked_morrey_vector(ev, f))
+
+    def test_duplicates_and_memo_hits_in_one_stack(self, circle32):
+        ev = self.evaluator(circle32)
+        fs = np.random.default_rng(28).normal(size=(5, 32))
+        ev.morrey_vector(fs[:2])
+        stack = fs[[0, 2, 2, 1, 3, 0, 4, 4]]  # hits, misses and repeats
+        got = ev.morrey_vector(stack)
+        assert len(ev._memo) == 5
+        for f, row in zip(stack, got):
+            assert np.array_equal(row, unblocked_morrey_vector(ev, f))
+        got[:] = -1.0
+        assert np.array_equal(ev.morrey_vector(stack)[0], unblocked_morrey_vector(ev, fs[0]))
+
+    @pytest.mark.parametrize("make", REFERENCE_SPACES.values(), ids=REFERENCE_SPACES.keys())
+    def test_one_input_is_a_row_of_the_stack(self, make):
+        sp = make()
+        fs = np.random.default_rng(29).normal(size=(4, sp.n))
+        stacked = self.evaluator(sp)
+        ev = self.evaluator(sp)
+        rows, weighted, norms = (stacked.morrey_vector(fs), stacked.weighted_vector(fs),
+                                 stacked(fs))
+        assert norms.shape == (4,)
+        for i, f in enumerate(fs):
+            one = ev.morrey_vector(f)
+            assert one.shape == (ev.pe.size,) and np.array_equal(one, rows[i])
+            assert np.array_equal(ev.weighted_vector(f), weighted[i])
+            norm = ev(GridFunction(sp, f))
+            assert isinstance(norm, float) and norm == norms[i]
+
+    def test_block_size_follows_bytes(self):
+        for n, columns in ((64, 16), (256, 4), (1024, 1)):
+            ev = self.evaluator(build_uniform_grid(n, 1, "circle"))
+            assert (ev.pe.size, ev.columns) == (16, columns), n
+
+    def test_stack_working_set_is_one_block(self):
+        sp = build_uniform_grid(256, 1, "circle")
+        ev = self.evaluator(sp)
+        fs = np.random.default_rng(30).normal(size=(64, sp.n))
+        tracemalloc.start()
+        try:
+            out = ev.morrey_vector(fs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a sweep of all 64 inputs at once would hold 16 blocks
+        assert peak <= 2 * funcnorm._BLOCK_BYTES + 2 * out.nbytes, peak
+
+    @pytest.mark.parametrize("bad", [
+        np.zeros((3, 31)), np.zeros((2, 2, 32)),
+        np.where(np.arange(64).reshape(2, 32) == 40, np.nan, 0.0),
+        np.where(np.arange(64).reshape(2, 32) == 7, -np.inf, 0.0),
+    ], ids=["width", "3-d", "nan", "inf"])
+    def test_bad_stacks_raise(self, circle32, bad):
+        ev = self.evaluator(circle32)
+        for method in (ev.morrey_vector, ev.weighted_vector, ev):
+            with pytest.raises(ValueError):
+                method(bad)
 
     def test_memo_distinguishes_one_ulp(self, circle32):
         ev = self.evaluator(circle32)

@@ -6,12 +6,13 @@ import pytest
 
 from morreylab import verify
 from morreylab.auxfun import AuxExponents, psi_table
-from morreylab.corpus import make_corpus
+from morreylab.corpus import Corpus, make_corpus
 from morreylab.funcnorm import (GrandNormEvaluator, GrandParams, TabulatedFunction,
-                                default_eps_grid, grand_morrey_norm, lp_norm,
+                                bmo_norm, default_eps_grid, grand_morrey_norm, lp_norm,
                                 morrey_norm)
 from morreylab.homspace import build_from_table, build_uniform_grid
-from morreylab.operators import CZOperator, conjugate_kernel, maximal
+from morreylab.operators import (CZOperator, PotentialOperator, commutator,
+                                 conjugate_kernel, maximal, maximal_s, sharp_maximal)
 from morreylab.verify import (AllSamplesDegenerate, HypothesisFailed,
                               DEFAULT_CONFIG, build_calibrated_checks, calibrate,
                               calibrated_regression, commutator_suite,
@@ -308,6 +309,13 @@ class TestCalibration:
             checks[name].ratios(fc, bs)
             checks[name].ratios(fc, bs)
             assert len(built) == total, name
+        # the reductions compare a bundle with itself: one evaluator each
+        table = verify._check_table(merge_config({"space": {"kind": "circle", "n": 32},
+                                                  "corpus": {"size": 8}}))
+        for name in ("reduction_maximal", "reduction_cz"):
+            del built[:]
+            table[name]()
+            assert len(built) == 1, name
 
     def test_all_checks_calibrate_and_pass(self, setup):
         checks, frozen, fresh, bs = setup
@@ -479,3 +487,161 @@ class TestCheckTable:
                                    A=TabulatedFunction.linear(0.0, np.linspace(0, 1, 33)[1:]))
         zero = GrandParams.power(2.0, 0.25, 1.0, max_points=16, ratio=0.7)
         assert np.array_equal(linear.eps_grid, zero.eps_grid) and linear.smax == zero.smax
+
+
+def reference_plain_ratios(op, norm_num, norm_den):
+    """Per-sample loop of the calibrated ratios, with scalar norms."""
+    def run(fc, bc):
+        out = np.full(len(fc), np.nan)
+        for i, f in enumerate(fc):
+            den = norm_den(f)
+            if den > 0:
+                out[i] = norm_num(op(f)) / den
+        return out
+    return run
+
+
+def reference_commutator_ratios(op, norm_num, norm_den, post=None):
+    """Per-sample loop of the calibrated commutator ratios, with scalar norms."""
+    def run(fc, bc):
+        bmo_vals = [bmo_norm(CIRC32, b, "mean") for b in bc]
+        out = np.full(len(fc), np.nan)
+        for i, f in enumerate(fc):
+            b = bc.samples[i % len(bc)]
+            den = bmo_vals[i % len(bc)] * norm_den(f)
+            if den <= 0:
+                continue
+            g = commutator(b, op, f)
+            if post is not None:
+                g = post(g)
+            out[i] = norm_num(g) / den
+        return out
+    return run
+
+
+def reference_commutator_values(kind, fs, bs, params_in, params_out=None, exps=None, s=1.5):
+    """Per-pair loop of commutator_suite on CIRC32: the pointwise (cz) or
+    Morrey (potential) ratio and the grand ratio of each pair, NaN if excluded."""
+    ev_in = GrandNormEvaluator(CIRC32, params_in)
+    ev_out = ev_in if params_out is None else GrandNormEvaluator(CIRC32, params_out)
+    op = (CZOperator(CIRC32, conjugate_kernel(CIRC32)) if kind == "cz"
+          else PotentialOperator(CIRC32, exps.alpha))
+    first, grand = [], []
+    for i, f in enumerate(fs):
+        b = bs[i % len(bs)]
+        nb = bmo_norm(CIRC32, b, "mean")
+        if nb <= 1e-14:
+            first.append(0.0 if kind == "cz" else np.nan)
+            grand.append(np.nan)
+            continue
+        g = commutator(b, op, f)
+        if kind == "cz":
+            den = nb * (maximal_s(CIRC32, op(f), s) + maximal_s(CIRC32, f, s))
+            num = sharp_maximal(CIRC32, g)
+            ok = den > 1e-14 * (1 + np.abs(num))
+            first.append(float((num[ok] / den[ok]).max()) if ok.any() else 0.0)
+            nf = ev_in(f)
+            grand.append(ev_out(g) / (nb * nf) if nf > 0 else np.nan)
+        else:
+            mg = maximal(CIRC32, g)
+            den_m = nb * morrey_norm(CIRC32, f, exps.p, exps.lam)
+            first.append(morrey_norm(CIRC32, mg, exps.q, exps.lam) / den_m
+                         if den_m > 0 else np.nan)
+            den_g = nb * ev_in(f)
+            grand.append(ev_out(mg) / den_g if den_g > 0 else np.nan)
+    return first, grand
+
+
+def with_zero_f_and_constant_b(size=12):
+    fs = small_corpus(CIRC32, size, 41).samples.copy()
+    fs[2] = 0.0
+    bs = make_corpus(CIRC32, "bmo", 4, 42).samples.copy()
+    bs[1] = 2.5  # BMO norm 0: every fourth pair is excluded
+    return Corpus(fs, "mixed+zero", 41), Corpus(bs, "bmo+constant", 42)
+
+
+def one_row_at_a_time(monkeypatch):
+    """Make every evaluator sweep a stack one input per call."""
+    real = GrandNormEvaluator.morrey_vector
+
+    def rowwise(ev, f):
+        if np.ndim(f) == 1:
+            return real(ev, f)
+        return np.array([real(ev, r) for r in f]).reshape(len(f), ev.pe.size)
+
+    monkeypatch.setattr(GrandNormEvaluator, "morrey_vector", rowwise)
+
+
+class TestBatchedRatios:
+    """Norms evaluated once per corpus give the per-sample results exactly."""
+
+    def test_calibrated_ratios_match_per_sample_loops(self):
+        p, lam, theta, alpha, s, n_eps = 2.0, 0.25, 1.0, 0.25, 1.5, 8
+        checks = build_calibrated_checks(CIRC32, n_eps=n_eps)
+        gp = GrandParams.power(p, lam, theta, max_points=n_eps, ratio=0.7,
+                               A=TabulatedFunction.linear(0.5, np.linspace(0.0, p - 1.0, 33)[1:]))
+        exps, gp_in, gp_out = verify._potential_bundles(p, alpha, lam, theta, 0.5, 0.05, n_eps)
+        ev, ev_in, ev_out = (GrandNormEvaluator(CIRC32, g) for g in (gp, gp_in, gp_out))
+        cz = CZOperator(CIRC32, conjugate_kernel(CIRC32))
+        pot = PotentialOperator(CIRC32, alpha)
+        m = lambda f: maximal(CIRC32, f)
+        morrey = lambda r: lambda g: morrey_norm(CIRC32, g, r, lam)
+        plain, comm = reference_plain_ratios, reference_commutator_ratios
+        reference = {
+            "maximal_morrey": plain(m, morrey(p), morrey(p)),
+            "maximal_s_morrey": plain(lambda f: maximal_s(CIRC32, f, s), morrey(p), morrey(p)),
+            "cz_morrey_p1_5": plain(cz, morrey(1.5), morrey(1.5)),
+            "cz_morrey_p3_0": plain(cz, morrey(3.0), morrey(3.0)),
+            "potential_commutator_morrey": comm(pot, morrey(exps.q), morrey(p), post=m),
+            "maximal_grand": plain(m, ev, ev),
+            "cz_grand": plain(cz, ev, ev),
+            "cz_commutator_grand": comm(cz, ev, ev),
+            "potential_commutator_grand": comm(pot, ev_out, ev_in, post=m),
+        }
+        assert sorted(reference) == sorted(checks)
+        fc, bc = with_zero_f_and_constant_b()
+        for name, chk in checks.items():
+            got = chk.ratios(fc, bc if chk.needs_b else None)
+            want = reference[name](fc, bc)
+            assert np.isnan(want[2]) and np.array_equal(got, want, equal_nan=True), name
+            assert not chk.needs_b or np.isnan(want[1::4]).all(), name
+
+    def test_commutator_suites_match_per_pair_loops(self):
+        gp = GrandParams.power(2.0, 0.25, 1.0, max_points=8, ratio=0.7)
+        exps, gp_in, gp_out = verify._potential_bundles(2.0, 0.25, 0.25, 1.0, 0.5, 0.05, 8)
+        fc, bc = with_zero_f_and_constant_b(16)
+        for kind, kw, keys, empty in (
+                ("cz", dict(params_in=gp), ("pointwise_C", "grand_C"), 0.0),
+                ("potential", dict(params_in=gp_in, params_out=gp_out, exps=exps),
+                 ("morrey_C", "grand_C"), np.nan)):
+            rep = commutator_suite(CIRC32, kind, fc.samples, bc.samples, s=1.5,
+                                   kernel=conjugate_kernel(CIRC32), **kw)
+            first, grand = reference_commutator_values(kind, fc.samples, bc.samples, **kw)
+            for key, values, none in zip(keys, (first, grand), (empty, np.nan)):
+                half, full = verify._half_and_full(values, none)
+                assert (rep.empirical[key], rep.empirical[key + "_half"]) == (full, half), key
+
+    def test_structural_reports_match_row_at_a_time_sweeps(self, monkeypatch):
+        gp = GrandParams.power(2.0, 0.25, 1.0, max_points=8, ratio=0.7)
+        exps, gp_in, gp_out = verify._potential_bundles(2.0, 0.25, 0.25, 1.0, 0.5, 0.05, 8)
+        fc, bc = with_zero_f_and_constant_b(16)
+        sigma = float(gp.eps_grid[-2])
+        ident = lambda f: np.asarray(f, dtype=float)
+
+        def reports():
+            return reports_to_json([
+                dominance_check(CIRC32, gp, gp.eps_grid[1:7], fc.samples),
+                reduction_transfer_check(CIRC32, lambda f: maximal(CIRC32, f), ident, gp, gp,
+                                         sigma, fc.samples, u_name="M", lam_name="Id"),
+                reduction_transfer_check(CIRC32, CZOperator(CIRC32, conjugate_kernel(CIRC32)),
+                                         ident, gp, gp, sigma, fc.samples, u_name="T",
+                                         lam_name="Id"),
+                commutator_suite(CIRC32, "cz", fc.samples, bc.samples, params_in=gp,
+                                 kernel=conjugate_kernel(CIRC32), s=1.5),
+                commutator_suite(CIRC32, "potential", fc.samples, bc.samples,
+                                 params_in=gp_in, params_out=gp_out, exps=exps, s=1.5),
+            ]).encode()
+
+        batched = reports()
+        one_row_at_a_time(monkeypatch)
+        assert reports() == batched
