@@ -205,8 +205,6 @@ def cmd_verify(args) -> int:
         user_cfg = {}
     if args.seed is not None:
         user_cfg["seed"] = args.seed
-    if args.jobs is not None:
-        user_cfg["jobs"] = args.jobs
     try:
         reports = verify.run_suite(user_cfg)
     except ValueError as exc:
@@ -268,8 +266,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="seed of the eta_identity draws only; each corpus has "
                          "its own seed in the config")
     pv.add_argument("--out", help="output directory for reports")
-    pv.add_argument("--jobs", type=int,
-                    help="worker threads; overrides the config's jobs when given")
     pv.set_defaults(fn=cmd_verify)
     return ap
 

@@ -152,6 +152,17 @@ def as_values(space: DiscreteHomSpace, f) -> np.ndarray:
     return v
 
 
+def _as_rows(space: DiscreteHomSpace, f) -> tuple[np.ndarray, bool]:
+    """One input (N,) or a stack (M, N) as validated (M, N) rows, and whether it was one."""
+    single = isinstance(f, GridFunction) or np.ndim(f) == 1
+    rows = as_values(space, f)[None] if single else np.asarray(f, dtype=float)
+    if rows.ndim != 2 or rows.shape[1] != space.n:
+        raise ValueError(f"expected (M, {space.n}) values, got shape {rows.shape}")
+    if not np.all(np.isfinite(rows)):
+        raise ValueError("grid function values must be finite")
+    return rows, single
+
+
 def default_eps_grid(smax: float, ratio: float = 0.9, floor: float = 1e-6,
                      max_points: int | None = None) -> np.ndarray:
     """Geometric grid smax*ratio^k, k >= 1, truncated at `floor`."""
@@ -252,35 +263,74 @@ def lp_norm(space: DiscreteHomSpace, f, p: float) -> float:
     return float((np.abs(v) ** p @ space.weight) ** (1.0 / p))
 
 
-def _morrey_table(space: DiscreteHomSpace, f, p: float, lam: float) -> np.ndarray:
-    """(N, R) table of mu B^(-lam) * sum_B |f|^p w, before the 1/p root."""
-    bf = space.balls
-    v = as_values(space, f)
-    sums = bf.rank_cumsums(np.abs(v) ** p * space.weight)
-    return sums / bf.measures**lam
-
-
-def morrey_norm_detail(space: DiscreteHomSpace, f, p: float, lam: float) -> NormResult:
+def _morrey_peaks(space: DiscreteHomSpace, rows: np.ndarray, p: float, lam: float):
+    """(M, N) peaks over radii of mu B^(-lam) sum_B |f|^p w (unrooted) and mu B^lam."""
     if p < 1:
         raise ValueError("need p >= 1")
     if not (0 <= lam < 1):
         raise ValueError("need 0 <= lambda < 1")
-    table = _morrey_table(space, f, p, lam)
-    flat = int(np.argmax(table))
-    c, k = divmod(flat, table.shape[1])
-    return NormResult(float(table[c, k] ** (1.0 / p)), center=c, rank=k)
+    scale = space.balls.measures ** lam
+    return _center_peaks(space, rows, lambda b: np.abs(b) ** p * space.weight, scale), scale
 
 
-def morrey_norm(space: DiscreteHomSpace, f, p: float, lam: float) -> float:
-    """max over realized balls of (mu B^(-lam) int_B |f|^p dmu)^(1/p)."""
-    return morrey_norm_detail(space, f, p, lam).value
+def morrey_norm_detail(space: DiscreteHomSpace, f, p: float, lam: float) -> NormResult:
+    """morrey_norm of one input and its ball: the first (center, rank) attaining it."""
+    v = as_values(space, f)
+    peaks, scale = _morrey_peaks(space, v[None], p, lam)
+    c, bf = int(np.argmax(peaks[0])), space.balls
+    row = np.cumsum((np.abs(v) ** p * space.weight)[bf.order[c]])[bf.counts[c] - 1] / scale[c]
+    return NormResult(float(peaks[0, c] ** (1.0 / p)), center=c, rank=int(np.argmax(row)))
+
+
+def morrey_norm(space: DiscreteHomSpace, f, p: float, lam: float):
+    """max over realized balls of (mu B^(-lam) int_B |f|^p dmu)^(1/p): a float
+    for one input (N,), an (M,) array for a stack (M, N), rooted per input."""
+    rows, single = _as_rows(space, f)
+    out = np.array([v ** (1.0 / p) for v in _morrey_peaks(space, rows, p, lam)[0].max(axis=1)])
+    return float(out[0]) if single else out
 
 
 # work buffers of one oscillation-kernel chunk and of one column block of
-# the grand sweep; the sweep's four (N, C E) arrays stay near it, so C falls
+# the shell sweep; the sweep's four (N, C E) arrays stay near it, so C falls
 # to one input at large N, where wider blocks measured slower
 _BLOCK_BYTES = 512 * 1024
 _OSC_RANKS = 16  # radius ranks per chunk of the oscillation kernel
+
+
+def _ball_peaks(space: DiscreteHomSpace, powers: np.ndarray, scale: np.ndarray, ufunc):
+    """Each center's peak over ranks k of ufunc(ball sum, scale[k]), shape (N, C, E),
+    for an (N + 1, C, E) block of powers whose row N is zero and an (R, N, E) scale.
+    A running sum per center gains its next shell one step-table row at a time, the
+    zero row padding short shells, so each column adds its atoms in distance order
+    from +0.0: a per-center cumulative sum bit for bit, whatever C is, in O(N C E)."""
+    steps, widths = space.balls.step_table
+    n, (c, e) = space.n, powers.shape[1:]
+    flat = powers.reshape(n + 1, c * e)
+    run, tmp, peak = np.zeros((n, c * e)), np.empty((n, c * e)), np.full((n, c, e), -np.inf)
+    t = 0
+    for k, width in enumerate(widths):
+        for s in range(t, t + width):
+            flat.take(steps[s], axis=0, out=tmp)
+            run += tmp
+        t += width
+        scaled = tmp.reshape(n, c, e)
+        ufunc(run.reshape(n, c, e), scale[k][:, None, :], out=scaled)
+        np.maximum(peak, scaled, out=peak)
+    return peak
+
+
+def _center_peaks(space: DiscreteHomSpace, rows: np.ndarray, terms, scale) -> np.ndarray:
+    """(M, N) peaks over radii of sum_B terms / scale per input row, in column
+    blocks; `terms` maps a (C, N) block to its atom terms, `scale` is (N, R)."""
+    n, columns = space.n, max(1, _BLOCK_BYTES // (4 * 8 * space.n))  # E = 1
+    scale = np.ascontiguousarray(scale.T)[:, :, None]
+    out = np.empty((len(rows), n))
+    for c0 in range(0, len(rows), columns):
+        block = terms(rows[c0:c0 + columns])
+        powers = np.zeros((n + 1, len(block), 1))  # row n pads short shells
+        powers[:n, :, 0] = block.T
+        out[c0:c0 + columns] = _ball_peaks(space, powers, scale, np.divide)[:, :, 0].T
+    return out
 
 
 def _oscillation_table(space: DiscreteHomSpace, f, p: float = 1.0,
@@ -430,15 +480,10 @@ class GrandNormEvaluator:
 
     Precomputes mu(B)^(-lam_eff) per (center, rank, eps) in `mu_pow`,
     stored rank-major so the (N, E) slice of one rank is contiguous, and
-    the int32 step table `steps`.  Inputs are swept in column blocks of C
-    inputs, C sized so the sweep's arrays fit `_BLOCK_BYTES`.  A block
-    sweeps the ranks once: a running (N, C E) ball sum, one row per center,
-    gains each center's next shell of equidistant atoms one step (a row of
-    `steps`) at a time, adding the zero row N where a center's shell is
-    shorter, and is then scaled and folded into an (N, C, E) peak.  Each
-    column adds its atoms in distance order from +0.0, so the sums equal a
-    per-center cumulative sum bit for bit whatever C is; a block works in
-    O(N C E) memory.  Matches grand_morrey_norm to roundoff.
+    reads the ball family's step table (`steps`, `widths`).  Inputs are
+    swept by `_ball_peaks` in column blocks of C inputs, C sized so the
+    sweep's arrays fit `_BLOCK_BYTES`.  Matches grand_morrey_norm to
+    roundoff.
 
     Results are memoised per input row for the instance's lifetime.  The
     memo is the only state calls share and its get and set are atomic, so
@@ -459,31 +504,16 @@ class GrandNormEvaluator:
         self.mu_pow = (np.ascontiguousarray(bf.measures.T)[:, :, None]
                        ** -lam_eff).transpose(1, 0, 2)
         self.phi_pow = params.phi(grid) ** (1.0 / self.pe)
-        n = space.n
-        # rank k adds sizes[c, k] atoms to center c in widths[k] steps; the
-        # step of a distance position is its rank's first plus its offset
-        sizes = np.diff(bf.counts, axis=1, prepend=0)
-        widths = sizes.max(axis=0)
-        offset = np.cumsum(widths) - widths - (bf.counts - sizes)
-        step = np.repeat(offset.ravel(), sizes.ravel()).reshape(n, n) + np.arange(n)
-        table = np.full((n, int(widths.sum())), n, dtype=np.int32)
-        np.put_along_axis(table, step, bf.order, axis=1)
-        self.steps = np.ascontiguousarray(table.T)
-        self.widths = widths.tolist()
+        self.steps, self.widths = bf.step_table
         # inputs per column block: powers, run, tmp and peak are (N, C E) each
-        self.columns = max(1, _BLOCK_BYTES // (4 * 8 * n * self.pe.size))
+        self.columns = max(1, _BLOCK_BYTES // (4 * 8 * space.n * self.pe.size))
         self._memo: dict[bytes, np.ndarray] = {}
 
     def morrey_vector(self, f) -> np.ndarray:
         """Per-grid-point Morrey norms ||f||_{p-eps, lam-A(eps)}: shape (E,)
         for one input, (M, E) for a stack of M."""
         n, e = self.space.n, self.pe.size
-        single = isinstance(f, GridFunction) or np.ndim(f) == 1
-        rows = as_values(self.space, f)[None] if single else np.asarray(f, dtype=float)
-        if rows.ndim != 2 or rows.shape[1] != n:
-            raise ValueError(f"expected (M, {n}) values, got shape {rows.shape}")
-        if not np.all(np.isfinite(rows)):
-            raise ValueError("grid function values must be finite")
+        rows, single = _as_rows(self.space, f)
         keys = [hashlib.blake2b(r.tobytes(), digest_size=16).digest() for r in rows]
         todo: dict[bytes, int] = {}  # first row of each input the memo lacks
         for i, key in enumerate(keys):
@@ -493,22 +523,10 @@ class GrandNormEvaluator:
         for c0 in range(0, len(missing), self.columns):
             c1 = c0 + self.columns
             block = rows[at[c0:c1]]
-            c = len(block)
-            powers = np.zeros((n + 1, c, e))  # row n pads short shells
+            powers = np.zeros((n + 1, len(block), e))  # row n pads short shells
             np.power(np.abs(block.T)[:, :, None], self.pe, out=powers[:n])
             powers[:n] *= self.space.weight[:, None, None]
-            powers = powers.reshape(n + 1, c * e)
-            run, tmp = np.zeros((n, c * e)), np.empty((n, c * e))
-            peak = np.full((n, c, e), -np.inf)
-            t = 0
-            for k, width in enumerate(self.widths):
-                for s in range(t, t + width):
-                    powers.take(self.steps[s], axis=0, out=tmp)
-                    run += tmp
-                t += width
-                scaled = tmp.reshape(n, c, e)
-                np.multiply(run.reshape(n, c, e), self.mu_pow[:, k][:, None, :], out=scaled)
-                np.maximum(peak, scaled, out=peak)
+            peak = _ball_peaks(self.space, powers, self.mu_pow.transpose(1, 0, 2), np.multiply)
             self._memo.update(zip(missing[c0:c1], peak.max(axis=0) ** (1.0 / self.pe)))
         out = np.array([self._memo[key] for key in keys]).reshape(len(keys), e)
         return out[0] if single else out

@@ -203,7 +203,7 @@ class BallFamily:
     """
 
     __slots__ = ("dist", "weight", "order", "sorted_dist", "radii", "counts",
-                 "measures", "n_ranks", "_open_mu")
+                 "measures", "n_ranks", "_open_mu", "_steps")
 
     def __init__(self, dist, weight, order, sorted_dist, radii, counts, measures,
                  n_ranks):
@@ -216,6 +216,7 @@ class BallFamily:
         self.measures = measures
         self.n_ranks = n_ranks
         self._open_mu = None
+        self._steps = None
 
     @staticmethod
     def build(space: DiscreteHomSpace) -> "BallFamily":
@@ -269,10 +270,24 @@ class BallFamily:
             return 0.0
         return float(self.measures[center, idx])
 
-    def rank_cumsums(self, v: np.ndarray) -> np.ndarray:
-        """(N, R) table of sum(v over ball) for every (center, rank)."""
-        cs = np.cumsum(v[self.order], axis=1)
-        return np.take_along_axis(cs, self.counts - 1, axis=1)
+    @property
+    def step_table(self) -> tuple[np.ndarray, list[int]]:
+        """(steps, widths) of a shell sweep, built once: rank k adds each
+        center's shell of equidistant atoms in widths[k] steps, and row s of
+        the int32 `steps` holds the atom each center gains, or N if none."""
+        if self._steps is None:
+            n = self.order.shape[0]
+            # the step of a distance position is its rank's first plus its offset
+            sizes = np.diff(self.counts, axis=1, prepend=0)
+            widths = sizes.max(axis=0)
+            offset = np.cumsum(widths) - widths - (self.counts - sizes)
+            step = np.repeat(offset.ravel(), sizes.ravel()).reshape(n, n) + np.arange(n)
+            table = np.full((n, int(widths.sum())), n, dtype=np.int32)
+            np.put_along_axis(table, step, self.order, axis=1)
+            steps = np.ascontiguousarray(table.T)
+            steps.setflags(write=False)
+            self._steps = (steps, widths.tolist())
+        return self._steps
 
     @property
     def open_measure(self) -> np.ndarray:

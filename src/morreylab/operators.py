@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .funcnorm import TabulatedFunction, _oscillation_table, as_values
+from .funcnorm import TabulatedFunction, _as_rows, _center_peaks, _oscillation_table, as_values
 from .homspace import DiscreteHomSpace
 
 __all__ = [
@@ -53,24 +53,20 @@ class DivergenceSuspected(RuntimeError):
     """Partial sums of w(2^-k) fail the Cauchy test at table resolution."""
 
 
-def _ball_means(space: DiscreteHomSpace, v: np.ndarray) -> np.ndarray:
-    """(N, R) table of avg_B v over balls centered per row."""
-    bf = space.balls
-    return bf.rank_cumsums(v * space.weight) / bf.measures
-
-
 def maximal(space: DiscreteHomSpace, f) -> np.ndarray:
-    """Hardy-Littlewood maximal function: max ball average of |f| per center."""
-    v = np.abs(as_values(space, f))
-    return _ball_means(space, v).max(axis=1)
+    """Hardy-Littlewood maximal function: max ball average of |f| per center,
+    for one input (N,) or per row of a stack (M, N), swept in column blocks."""
+    rows, single = _as_rows(space, f)
+    out = _center_peaks(space, rows, lambda b: np.abs(b) * space.weight, space.balls.measures)
+    return out[0] if single else out
 
 
 def maximal_s(space: DiscreteHomSpace, f, s: float) -> np.ndarray:
-    """(M |f|^s)^(1/s) for s >= 1."""
+    """(M |f|^s)^(1/s) for s >= 1, of one input (N,) or per row of a stack (M, N)."""
     if s < 1:
         raise ValueError("need s >= 1")
-    v = np.abs(as_values(space, f))
-    return maximal(space, v**s) ** (1.0 / s)
+    v = as_values(space, f) if np.ndim(f) < 2 else np.asarray(f, dtype=float)
+    return maximal(space, np.abs(v) ** s) ** (1.0 / s)  # maximal checks the stack
 
 
 def sharp_maximal(space: DiscreteHomSpace, f) -> np.ndarray:
@@ -161,8 +157,17 @@ def validate_kernel(space: DiscreteHomSpace, kernel: KernelSpec) -> None:
                                   kernel.size_constant / open_mu[i, j])
 
 
+def _rowwise(space: DiscreteHomSpace, mat: np.ndarray, f) -> np.ndarray:
+    """mat @ f for one input (N,) or each row of a stack (M, N), one product
+    per row, so no row's summation order depends on the stack."""
+    rows, single = _as_rows(space, f)
+    out = np.array([mat @ r for r in rows]).reshape(rows.shape)
+    return out[0] if single else out
+
+
 class CZOperator:
-    """Tf(x) = sum_{y != x} K(x,y) f(y) w(y); the kernel is validated once."""
+    """Tf(x) = sum_{y != x} K(x,y) f(y) w(y); the kernel is validated once.
+    Applies to one input (N,) or to each row of a stack (M, N)."""
 
     def __init__(self, space: DiscreteHomSpace, kernel: KernelSpec):
         validate_kernel(space, kernel)
@@ -171,7 +176,7 @@ class CZOperator:
         self._mat = kernel.matrix * space.weight[None, :]
 
     def __call__(self, f) -> np.ndarray:
-        return self._mat @ as_values(self.space, f)
+        return _rowwise(self.space, self._mat, f)
 
 
 def cz_apply(space: DiscreteHomSpace, kernel: KernelSpec, f) -> np.ndarray:
@@ -184,6 +189,7 @@ class PotentialOperator:
 
     The denominator measures the open ball at the pair distance; at y = x it
     degenerates to the atom's own weight, the smallest ball containing x.
+    Applies to one input (N,) or to each row of a stack (M, N).
     """
 
     def __init__(self, space: DiscreteHomSpace, alpha: float):
@@ -195,7 +201,7 @@ class PotentialOperator:
         self._mat = open_mu ** (alpha - 1.0) * space.weight[None, :]
 
     def __call__(self, f) -> np.ndarray:
-        return self._mat @ as_values(self.space, f)
+        return _rowwise(self.space, self._mat, f)
 
 
 def potential_apply(space: DiscreteHomSpace, f, alpha: float) -> np.ndarray:

@@ -16,7 +16,8 @@ import functools
 import io
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
+# unused here: bench/spans.py patches it, and the run trace of ROADMAP item 1 drops both
+from concurrent.futures import ThreadPoolExecutor  # noqa: F401
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -119,18 +120,10 @@ def _nanmax_with_arg(values: np.ndarray) -> tuple[float, int]:
     return float(values[idx]), idx
 
 
-def _parallel_map(fn, items, jobs: int):
-    if jobs <= 1 or len(items) < 4:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
-
-
 def operator_norm_ratio(op: Callable, norm_in: Callable, norm_out: Callable,
                         samples: Sequence[np.ndarray], *, name: str = "operator_norm",
                         claim: str = "", corpus_desc: str = "",
-                        theoretical: float | None = None,
-                        jobs: int = 1) -> VerificationReport:
+                        theoretical: float | None = None) -> VerificationReport:
     """max over the corpus of norm_out(op f) / norm_in(f); 0/0 excluded."""
 
     def one(f):
@@ -139,7 +132,7 @@ def operator_norm_ratio(op: Callable, norm_in: Callable, norm_out: Callable,
             return np.nan
         return norm_out(op(f)) / den
 
-    ratios = np.asarray(_parallel_map(one, list(samples), jobs))
+    ratios = np.asarray([one(f) for f in samples])
     best, idx = _nanmax_with_arg(ratios)
     passed = math.isfinite(best) and (theoretical is None or best <= theoretical * (1 + 1e-9))
     return VerificationReport(
@@ -247,9 +240,9 @@ def embedding_chain_check(space: DiscreteHomSpace, p: float, theta1: float,
 def reduction_transfer_check(space: DiscreteHomSpace, U: Callable, Lam: Callable,
                              params_in: GrandParams, params_out: GrandParams,
                              sigma: float, samples, *, corpus_desc: str = "",
-                             u_name: str = "U", lam_name: str = "Lambda",
-                             jobs: int = 1) -> VerificationReport:
-    """Transfer of uniform per-eps Morrey bounds into a grand-norm bound.
+                             u_name: str = "U", lam_name: str = "Lambda") -> VerificationReport:
+    """Transfer of uniform per-eps Morrey bounds into a grand-norm bound;
+    U and Lam map the (M, N) stack of samples to an (M, N) stack.
 
     Hypotheses measured on the shared eps grid below sigma: the per-eps
     operator constants C_eps (finite sup) and the weight-ratio sup
@@ -260,9 +253,8 @@ def reduction_transfer_check(space: DiscreteHomSpace, U: Callable, Lam: Callable
     if not (0 < sigma < params_in.smax):
         raise ValueError("need 0 < sigma < s_max of the input bundle")
 
-    rows = list(samples)
-    uf = _parallel_map(lambda f: np.asarray(U(f)), rows, jobs)
-    lf = _parallel_map(lambda f: np.asarray(Lam(f)), rows, jobs)
+    rows = _stack(space, samples)
+    uf, lf = _stack(space, U(rows)), _stack(space, Lam(rows))
 
     p, q = params_in.p, params_out.p
     ev_in = GrandNormEvaluator(space, params_in)
@@ -281,8 +273,8 @@ def reduction_transfer_check(space: DiscreteHomSpace, U: Callable, Lam: Callable
     c0 = 0.0
     worst = None
     psig = params_out.phi(sigma) ** (1.0 / (q - sigma))
-    mvs_in = ev_in.morrey_vector(_stack(space, lf))
-    mvs_out = ev_out.morrey_vector(_stack(space, uf))
+    mvs_in = ev_in.morrey_vector(lf)
+    mvs_out = ev_out.morrey_vector(uf)
     for i, (mv_in, mv_out) in enumerate(zip(mvs_in, mvs_out)):
         num, den = mv_out[:cut], mv_in[:cut]
         dead = den <= 0
@@ -359,18 +351,18 @@ def commutator_suite(space: DiscreteHomSpace, kind: str, f_samples, b_samples,
         ev = GrandNormEvaluator(space, params_in)
         ev_out = GrandNormEvaluator(space, params_out) if params_out is not None else ev
         point = np.zeros(len(rows_f))
-        gs = []
-        for i, f in zip(live, fs):
-            gs.append(commutator(rows_b[i % len(rows_b)], op, f))
-            if run_pointwise and (pointwise_limit is None or i < pointwise_limit):
-                den = nbs[i] * (maximal_s(space, op(f), s) + maximal_s(space, f, s))
-                num = sharp_maximal(space, gs[-1])
-                ok = den > 1e-14 * (1 + np.abs(num))
-                if ok.any():
-                    point[i] = float((num[ok] / den[ok]).max())
+        gs = _stack(space, [commutator(rows_b[i % len(rows_b)], op, f) for i, f in zip(live, fs)])
+        limit = len(rows_f) if pointwise_limit is None else pointwise_limit
+        at = np.flatnonzero((live < limit) & run_pointwise)
+        dens = nbs[live[at], None] * (maximal_s(space, op(fs[at]), s) + maximal_s(space, fs[at], s))
+        for i, g, den in zip(live[at], gs[at], dens):
+            num = sharp_maximal(space, g)
+            ok = den > 1e-14 * (1 + np.abs(num))
+            if ok.any():
+                point[i] = float((num[ok] / den[ok]).max())
         nf = ev(fs)
         pos = nf > 0
-        grand[live[pos]] = ev_out(_stack(space, gs)[pos]) / (nbs[live[pos]] * nf[pos])
+        grand[live[pos]] = ev_out(gs[pos]) / (nbs[live[pos]] * nf[pos])
         p_half, p_full = _half_and_full(point, 0.0)
         g_half, g_full = _half_and_full(grand, np.nan)
         if np.isnan(g_full):
@@ -397,17 +389,15 @@ def commutator_suite(space: DiscreteHomSpace, kind: str, f_samples, b_samples,
                             alpha=exps.alpha, lam=exps.lam, s=s, b=cd, c=1.0)
 
     morrey = np.full(len(rows_f), np.nan)
-    mgs, dom_ok = [], True
-    for i, f in zip(live, fs):
-        g = commutator(rows_b[i % len(rows_b)], pot, f)
-        mgs.append(maximal(space, g))
-        dom_ok &= bool(np.all(np.abs(g) <= mgs[-1] * (1 + 1e-12) + 1e-300))
-        den_m = nbs[i] * morrey_norm(space, f, exps.p, exps.lam)
-        if den_m > 0:
-            morrey[i] = morrey_norm(space, mgs[-1], exps.q, exps.lam) / den_m
+    gs = _stack(space, [commutator(rows_b[i % len(rows_b)], pot, f) for i, f in zip(live, fs)])
+    mgs = maximal(space, gs)
+    dom_ok = bool(np.all(np.abs(gs) <= mgs * (1 + 1e-12) + 1e-300))
+    den_m = nbs[live] * morrey_norm(space, fs, exps.p, exps.lam)
+    pos = den_m > 0
+    morrey[live[pos]] = morrey_norm(space, mgs[pos], exps.q, exps.lam) / den_m[pos]
     den_g = nbs[live] * ev_in(fs)
     pos = den_g > 0
-    grand[live[pos]] = ev_out(_stack(space, mgs)[pos]) / den_g[pos]
+    grand[live[pos]] = ev_out(mgs[pos]) / den_g[pos]
     m_half, m_full = _half_and_full(morrey, np.nan)
     g_half, g_full = _half_and_full(grand, np.nan)
     if np.isnan(m_full) and np.isnan(g_full):
@@ -456,15 +446,11 @@ def fefferman_stein_check(space: DiscreteHomSpace, p: float, lam: float,
     (Mf > 0 while f# = 0), so constants are projected out: every sample is
     recentred to weighted mean zero and the exclusion is recorded.
     """
-    w = space.weight
-    mu = space.total_measure
-
-    def ratio(f) -> float:
-        f0 = f - float(f @ w) / mu
-        den = morrey_norm(space, sharp_maximal(space, f0), p, lam)
-        return morrey_norm(space, maximal(space, f0), p, lam) / den if den > 0 else np.nan
-
-    ratios = np.array([ratio(f) for f in samples])
+    w, mu = space.weight, space.total_measure
+    f0s = _stack(space, [f - float(f @ w) / mu for f in samples])
+    den = morrey_norm(space, _stack(space, [sharp_maximal(space, f0) for f0 in f0s]), p, lam)
+    num = morrey_norm(space, maximal(space, f0s), p, lam)
+    ratios = np.divide(num, den, out=np.full(len(f0s), np.nan), where=den > 0)
     half, full = _half_and_full(ratios, 0.0)
     arg = int(np.flatnonzero(ratios == full)[0]) if full > 0 else None
     drift = _drift(half, full)
@@ -595,14 +581,14 @@ def build_calibrated_checks(space: DiscreteHomSpace, *, p: float = 2.0,
         # keyed by content: the frozen and fresh passes of every check share it
         return bmo_norm(space, np.frombuffer(b), "mean")
 
-    # norms take an (M, N) stack: grand norms evaluate it in one call, while
-    # operators still run per sample, so their summation order is unchanged
+    # norms and operators take an (M, N) stack; operators still apply one
+    # row at a time inside, so their summation order is unchanged
     def plain_ratios(op, norm_num, norm_den):
         def run(fc: Corpus, bc: Corpus | None) -> np.ndarray:
             out = np.full(len(fc), np.nan)
             den = norm_den(fc.samples)
             live = np.flatnonzero(den > 0)
-            out[live] = norm_num(_stack(space, map(op, fc.samples[live]))) / den[live]
+            out[live] = norm_num(op(fc.samples[live])) / den[live]
             return out
         return run
 
@@ -613,13 +599,13 @@ def build_calibrated_checks(space: DiscreteHomSpace, *, p: float = 2.0,
             out = np.full(len(fc), np.nan)
             den = nbs * norm_den(fc.samples)
             live = np.flatnonzero(den > 0)
-            gs = (post(commutator(bc.samples[i % len(bc)], op, fc.samples[i])) for i in live)
-            out[live] = norm_num(_stack(space, gs)) / den[live]
+            gs = [commutator(bc.samples[i % len(bc)], op, fc.samples[i]) for i in live]
+            out[live] = norm_num(post(_stack(space, gs))) / den[live]
             return out
         return run
 
     def morrey(r: float):
-        return lambda gs: np.array([morrey_norm(space, g, r, lam) for g in gs])
+        return lambda gs: morrey_norm(space, gs, r, lam)
 
     morrey_p, morrey_q = morrey(p), morrey(q)
 
@@ -751,7 +737,6 @@ DEFAULT_CONFIG = {
                "commutator_cz", "commutator_potential", "fefferman_stein"],
     "eta_draws": 1000,
     "seed": 0,
-    "jobs": 1,
 }
 
 
@@ -820,7 +805,7 @@ def _check_table(cfg: dict) -> dict[str, Callable[[], VerificationReport]]:
         return reduction_transfer_check(
             space, op, lambda f: np.asarray(f, dtype=float), gp, gp,
             float(gp.eps_grid[-2]), fresh.samples, corpus_desc=fresh.descriptor,
-            u_name=label, lam_name="Id", jobs=int(cfg["jobs"]))
+            u_name=label, lam_name="Id")
 
     def commutator_cz() -> VerificationReport:
         # smooth oscillation family: its extremal pairs recur early, so

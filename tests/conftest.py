@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from morreylab import funcnorm
 from morreylab.homspace import build_from_table, build_uniform_grid, space_from_points
 
 
@@ -43,6 +44,59 @@ REFERENCE_SPACES = {
     "grid2d-ties": lambda: build_uniform_grid(6, 2, "interval"),
     "single-atom": lambda: build_from_table([[0.0]], [1.0]),
 }
+
+# stack tests add two spaces whose shells are uneven, so some centers pad
+# their shells with the zero row; the weighted 7 x 7 grid has N = 49 atoms
+STACK_SPACES = {
+    **REFERENCE_SPACES,
+    "interval256": lambda: build_uniform_grid(256, 1, "interval"),
+    "grid2d-weighted": lambda: build_from_table(
+        build_uniform_grid(7, 2, "interval").dist,
+        np.random.default_rng(4).uniform(0.2, 1.8, 49) / 49),
+}
+
+
+def reference_ball_sums(space, v):
+    """(N, R) table of sum(v over ball) per (center, rank): the dense
+    cumulative sum that the shell sweep replaced."""
+    bf = space.balls
+    cs = np.cumsum(v[bf.order], axis=1)
+    return np.take_along_axis(cs, bf.counts - 1, axis=1)
+
+
+def reference_morrey_detail(space, f, p, lam):
+    """(value, center, rank) of the Morrey norm from the dense table; the
+    witness is its first maximum in row-major order."""
+    v = np.asarray(f, dtype=float)
+    table = reference_ball_sums(space, np.abs(v) ** p * space.weight) / space.balls.measures**lam
+    c, k = divmod(int(np.argmax(table)), table.shape[1])
+    return float(table[c, k] ** (1.0 / p)), c, k
+
+
+def reference_maximal(space, f):
+    """Max ball average of |f| per center from the dense table."""
+    v = np.abs(np.asarray(f, dtype=float))
+    return (reference_ball_sums(space, v * space.weight) / space.balls.measures).max(axis=1)
+
+
+def sweep_columns(n):
+    """Inputs per column block of a one-exponent shell sweep: its four
+    (N, C) arrays fit the byte budget."""
+    return max(1, funcnorm._BLOCK_BYTES // (4 * 8 * n))
+
+
+def block_edge_stacks(n, columns, seed):
+    """Stacks of 0, 1, C - 1, C, C + 1 and 2C + 3 rows: random rows, rows
+    of small integers (value ties and zeros), an all-zero row and a
+    duplicate row."""
+    rng = np.random.default_rng(seed)
+    for m in sorted({0, 1, columns - 1, columns, columns + 1, 2 * columns + 3}):
+        fs = rng.normal(size=(m, n)) * rng.exponential(size=(m, n))
+        fs[1::3] = rng.integers(-2, 3, size=fs[1::3].shape)
+        if m >= 4:
+            fs[2] = 0.0
+            fs[-1] = fs[0]
+        yield fs
 
 
 def relabeled(space, perm):

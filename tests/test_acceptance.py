@@ -213,7 +213,7 @@ def test_default_verify_suite_end_to_end(tmp_path):
     """`morreylab verify` with no config runs every suite at n = 256 and all
     verdicts pass; reports land as JSON plus a CSV summary."""
     t0 = time.perf_counter()
-    code = main(["verify", "--out", str(tmp_path), "--jobs", "1"])
+    code = main(["verify", "--out", str(tmp_path)])
     dt = time.perf_counter() - t0
     text = (tmp_path / "reports.json").read_text()
     reports = json.loads(text)

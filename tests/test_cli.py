@@ -203,17 +203,15 @@ class TestVerifyCommand:
         assert run(capsys, "verify", "--config", str(cfg), "--out", str(d2))[0] == 0
         assert (d1 / "reports.json").read_bytes() == (d2 / "reports.json").read_bytes()
 
-    @pytest.mark.parametrize("flag, expected", [((), 3), (("--jobs", "2"), 2)])
-    def test_jobs_flag_overrides_config_only_when_given(self, capsys, tmp_path,
-                                                        monkeypatch, flag, expected):
-        seen = []
-        monkeypatch.setattr(verify, "run_suite", lambda cfg: seen.append(cfg["jobs"]) or [])
+    def test_jobs_flag_is_a_usage_error(self, capsys, tmp_path):
+        code, _, err = run(capsys, "verify", "--out", str(tmp_path / "o"), "--jobs", "2")
+        assert code == 2 and "--jobs" in err
+
+    def test_jobs_config_key_is_rejected(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps(dict(SMALL_VERIFY_CFG, jobs=3)))
-        code, _, _ = run(capsys, "verify", "--config", str(cfg),
-                         "--out", str(tmp_path / "o"), *flag)
-        assert code == 0
-        assert seen == [expected]
+        cfg.write_text(json.dumps(dict(SMALL_VERIFY_CFG, jobs=1)))
+        code, _, err = run(capsys, "verify", "--config", str(cfg), "--out", str(tmp_path / "o"))
+        assert code == 2 and "jobs" in err
 
     def test_eta_only_subsecond(self, capsys, tmp_path):
         import time

@@ -15,7 +15,9 @@ from morreylab.funcnorm import (EmptyGrid, GrandNormEvaluator, GrandParams,
                                 morrey_norm_detail, phi_functional, s_max)
 from morreylab.homspace import build_from_table, build_uniform_grid
 
-from conftest import REFERENCE_SPACES, random_cloud, relabeled, tie_heavy_samples
+from conftest import (REFERENCE_SPACES, STACK_SPACES, block_edge_stacks, random_cloud,
+                      reference_morrey_detail, relabeled, sweep_columns,
+                      tie_heavy_samples)
 
 
 def naive_grand_morrey(space, f, params):
@@ -128,6 +130,72 @@ class TestMorreyNorm:
         f = rng.normal(size=grid16.n)
         vals = [morrey_norm(grid16, f, 2.0, lam) for lam in (0.0, 0.2, 0.5, 0.8)]
         assert all(a <= b * (1 + 1e-12) for a, b in zip(vals, vals[1:]))
+
+
+class TestMorreyKernel:
+    """morrey_norm on the shell sweep against the dense-table reference."""
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
+    @pytest.mark.parametrize("make", STACK_SPACES.values(), ids=STACK_SPACES.keys())
+    def test_stacks_bit_identical_at_every_block_edge(self, make, p):
+        sp = make()
+        columns = sweep_columns(sp.n)
+        for fs in block_edge_stacks(sp.n, columns, 31):
+            got = morrey_norm(sp, fs, p, 0.25)
+            assert got.shape == (len(fs),)
+            for f, value in zip(fs, got):
+                assert value == reference_morrey_detail(sp, f, p, 0.25)[0]
+            for f, value in zip(fs[:3], got):  # one input is a row of the stack
+                one = morrey_norm(sp, f, p, 0.25)
+                assert isinstance(one, float) and one == value
+
+    def test_block_size_follows_bytes(self, monkeypatch):
+        widths, real = [], funcnorm._ball_peaks
+
+        def recording(sp, powers, *args):
+            widths.append(powers.shape[1:])
+            return real(sp, powers, *args)
+
+        monkeypatch.setattr(funcnorm, "_ball_peaks", recording)
+        for n, columns in ((64, 256), (256, 64), (1024, 16)):
+            assert sweep_columns(n) == columns
+            widths.clear()
+            fs = np.ones((2 * columns + 1, n))
+            morrey_norm(build_uniform_grid(n, 1, "circle"), fs, 2.0, 0.25)
+            assert widths == [(columns, 1), (columns, 1), (1, 1)], n
+
+    @pytest.mark.parametrize("p, lam", [(1.0, 0.0), (2.0, 0.25), (3.0, 0.7)])
+    @pytest.mark.parametrize("make", STACK_SPACES.values(), ids=STACK_SPACES.keys())
+    def test_detail_witness_is_the_first_maximum(self, make, p, lam):
+        sp = make()
+        rng = np.random.default_rng(32)
+        samples = [rng.normal(size=sp.n), *tie_heavy_samples(sp.n, 33), np.zeros(sp.n),
+                   np.ones(sp.n)]
+        for f in samples:
+            res = morrey_norm_detail(sp, f, p, lam)
+            assert (res.value, res.center, res.rank) == reference_morrey_detail(sp, f, p, lam)
+
+    def test_step_table_built_once_per_space(self):
+        sp = build_uniform_grid(40, 1, "circle")
+        table = sp.balls.step_table
+        morrey_norm(sp, np.ones(40), 2.0, 0.25)
+        evs = [GrandNormEvaluator(sp, GrandParams.power(p, 0.25, 1.0, max_points=6))
+               for p in (2.0, 3.0)]
+        assert sp.balls.step_table is table
+        assert all(ev.steps is table[0] and ev.widths is table[1] for ev in evs)
+        assert not table[0].flags.writeable
+
+    @pytest.mark.parametrize("bad", [
+        np.zeros((3, 31)), np.zeros(31), np.zeros((2, 2, 32)),
+        np.where(np.arange(64).reshape(2, 32) == 40, np.nan, 0.0),
+        GridFunction(build_uniform_grid(32, 1, "interval"), np.ones(32)),
+    ], ids=["width", "length", "3-d", "nan", "other-space"])
+    def test_bad_inputs_raise(self, circle32, bad):
+        with pytest.raises(ValueError):
+            morrey_norm(circle32, bad, 2.0, 0.25)
+        if np.ndim(bad) != 2:
+            with pytest.raises(ValueError):
+                morrey_norm_detail(circle32, bad, 2.0, 0.25)
 
 
 class TestBmoNorm:
@@ -370,16 +438,6 @@ def unblocked_morrey_vector(ev, f):
     sums = np.take(cs.reshape(-1, e), flat_ends, axis=0).reshape(ev.mu_pow.shape)
     sums *= ev.mu_pow
     return sums.max(axis=(0, 1)) ** (1.0 / ev.pe)
-
-
-# stack tests run on every reference space and both uneven-shell spaces
-STACK_SPACES = {
-    **REFERENCE_SPACES,
-    "interval256": lambda: build_uniform_grid(256, 1, "interval"),
-    "grid2d-weighted": lambda: build_from_table(
-        build_uniform_grid(7, 2, "interval").dist,
-        np.random.default_rng(4).uniform(0.2, 1.8, 49) / 49),
-}
 
 
 class TestGrandNormEvaluator:

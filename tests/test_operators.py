@@ -1,11 +1,13 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from morreylab.funcnorm import TabulatedFunction
+from morreylab import funcnorm
+from morreylab.funcnorm import GridFunction, TabulatedFunction
 from morreylab.homspace import build_uniform_grid
 from morreylab.operators import (CZOperator, DiniResult, DivergenceSuspected,
                                  KernelSizeViolation, PotentialOperator,
@@ -16,7 +18,9 @@ from morreylab.operators import (CZOperator, DiniResult, DivergenceSuspected,
                                  potential_apply, sharp_maximal,
                                  validate_kernel)
 
-from conftest import REFERENCE_SPACES, random_cloud, relabeled, tie_heavy_samples
+from conftest import (REFERENCE_SPACES, STACK_SPACES, block_edge_stacks, random_cloud,
+                      reference_maximal, relabeled, sweep_columns,
+                      tie_heavy_samples)
 
 
 def reference_sharp_maximal(space, f):
@@ -103,6 +107,85 @@ class TestMaximalS:
     def test_rejects_small_s(self, grid3):
         with pytest.raises(ValueError):
             maximal_s(grid3, np.ones(3), 0.5)
+
+
+class TestMaximalKernel:
+    """maximal and maximal_s on the shell sweep against the dense-table reference."""
+
+    @pytest.mark.parametrize("make", STACK_SPACES.values(), ids=STACK_SPACES.keys())
+    def test_stacks_bit_identical_at_every_block_edge(self, make):
+        sp = make()
+        for fs in block_edge_stacks(sp.n, sweep_columns(sp.n), 34):
+            got = maximal(sp, fs)
+            assert got.shape == fs.shape
+            for f, row in zip(fs, got):
+                assert np.array_equal(row, reference_maximal(sp, f))
+            for f, row in zip(fs[:3], got):  # one input is a row of the stack
+                assert np.array_equal(maximal(sp, f), row)
+
+    @pytest.mark.parametrize("s", [1.0, 1.5, 2.0, 3.0])
+    @pytest.mark.parametrize("make", STACK_SPACES.values(), ids=STACK_SPACES.keys())
+    def test_maximal_s_stacks_bit_identical(self, make, s):
+        sp = make()
+        for fs in block_edge_stacks(sp.n, sweep_columns(sp.n), 35):
+            got = maximal_s(sp, fs, s)
+            assert got.shape == fs.shape
+            for f, row in zip(fs, got):
+                assert np.array_equal(row, reference_maximal(sp, np.abs(f) ** s) ** (1.0 / s))
+            for f, row in zip(fs[:3], got):
+                assert np.array_equal(maximal_s(sp, f, s), row)
+
+    def test_stack_working_set_is_one_block(self):
+        sp = build_uniform_grid(256, 1, "circle")
+        fs = np.random.default_rng(37).normal(size=(256, sp.n))
+        maximal(sp, fs[:1])  # the family and its step table are built outside the trace
+        tracemalloc.start()
+        try:
+            out = maximal(sp, fs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the output, the rank-major scale table and one block of 64 inputs
+        # take about 1.6 MB; one block of all 256 inputs would take about 3.4 MB
+        assert peak <= 2 * out.nbytes + 2 * funcnorm._BLOCK_BYTES, peak
+
+    @pytest.mark.parametrize("bad", [
+        np.zeros((3, 31)), np.zeros((2, 2, 32)),
+        np.where(np.arange(64).reshape(2, 32) == 40, np.nan, 0.0),
+        GridFunction(build_uniform_grid(32, 1, "interval"), np.ones(32)),
+    ], ids=["width", "3-d", "nan", "other-space"])
+    def test_bad_inputs_raise(self, circle32, bad):
+        ops = [lambda f: maximal(circle32, f), lambda f: maximal_s(circle32, f, 2.0),
+               CZOperator(circle32, conjugate_kernel(circle32)),
+               PotentialOperator(circle32, 0.5)]
+        for op in ops:
+            with pytest.raises(ValueError):
+                op(bad)
+
+
+class TestOperatorStacks:
+    """Linear operators on a stack apply one matrix-vector product per row."""
+
+    @pytest.mark.parametrize("make", [
+        STACK_SPACES["grid2d-weighted"], lambda: build_uniform_grid(97, 1, "circle"),
+    ], ids=["grid2d-weighted", "circle97"])
+    def test_stack_equals_rows(self, make):
+        sp = make()
+        rng = np.random.default_rng(38)
+        table = rng.normal(size=(sp.n, sp.n))
+        ops = [CZOperator(sp, kernel_from_matrix(sp, table - table.T)),
+               PotentialOperator(sp, 0.3)]
+        if sp.labels is not None and sp.labels.shape[1] == 1:
+            ops.append(CZOperator(sp, conjugate_kernel(sp)))
+        fs = rng.normal(size=(7, sp.n))
+        bs = rng.normal(size=(7, sp.n))
+        for op in ops:
+            for stack, rows in ((fs, fs), (bs * fs, [b * f for b, f in zip(bs, fs)])):
+                got = op(stack)
+                assert got.shape == stack.shape
+                for row, f in zip(got, rows):
+                    assert np.array_equal(row, op(f))
+            assert op(fs[:0]).shape == (0, sp.n)
 
 
 class TestSharpMaximal:

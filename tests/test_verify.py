@@ -420,7 +420,7 @@ class TestSuiteRunner:
             "calibration": {"family": "mixed", "size": 5, "seed": 2, "headroom": 1.5},
             "bmo_corpus": {"family": "bmo", "size": 4, "seed": 3},
             "params": {"lambda": 0.3}, "tolerances": {"fs_stability": 0.2},
-            "eta_draws": 10, "seed": 4, "jobs": 1, "checks": ["eta_identity"],
+            "eta_draws": 10, "seed": 4, "checks": ["eta_identity"],
         }
         cfg = merge_config(user)
         assert cfg["space"]["path"] == "space.json" and cfg["params"]["lambda"] == 0.3
@@ -645,3 +645,46 @@ class TestBatchedRatios:
         batched = reports()
         one_row_at_a_time(monkeypatch)
         assert reports() == batched
+
+
+def reference_fefferman_stein_ratios(space, p, lam, samples):
+    """Per-sample loop of fefferman_stein_check, with one-input norms."""
+    w, mu = space.weight, space.total_measure
+    out = []
+    for f in samples:
+        f0 = f - float(f @ w) / mu
+        den = morrey_norm(space, sharp_maximal(space, f0), p, lam)
+        out.append(morrey_norm(space, maximal(space, f0), p, lam) / den if den > 0 else np.nan)
+    return np.array(out)
+
+
+def one_row_at_a_time_op(op):
+    """The operator applied to each row of a stack by its own call."""
+    return lambda fs: np.array([np.asarray(op(f)) for f in fs]).reshape(np.shape(fs))
+
+
+class TestStackedCallSites:
+    """Checks that pass whole corpora to the Morrey norms and operators
+    report what per-sample loops report."""
+
+    def test_fefferman_stein_matches_per_sample_loop(self):
+        fc, _ = with_zero_f_and_constant_b(17)
+        rep = fefferman_stein_check(CIRC32, 2.0, 0.25, fc.samples)
+        ratios = reference_fefferman_stein_ratios(CIRC32, 2.0, 0.25, fc.samples)
+        assert np.isnan(ratios[2])  # the zero sample is excluded
+        half, full = verify._half_and_full(ratios, 0.0)
+        assert (rep.empirical["C_emp"], rep.empirical["C_half_corpus"]) == (full, half)
+        assert rep.worst_sample == int(np.flatnonzero(ratios == full)[0])
+
+    def test_reduction_reports_match_per_row_operators(self):
+        gp = GrandParams.power(2.0, 0.25, 1.0, max_points=8, ratio=0.7)
+        fc, _ = with_zero_f_and_constant_b(16)
+        sigma = float(gp.eps_grid[-2])
+        ident = lambda f: np.asarray(f, dtype=float)
+        cz = CZOperator(CIRC32, conjugate_kernel(CIRC32))
+        for label, op in (("M", lambda f: maximal(CIRC32, f)), ("T", cz)):
+            stacked, per_row = (reports_to_json([reduction_transfer_check(
+                CIRC32, u, lam, gp, gp, sigma, fc.samples, u_name=label, lam_name="Id")]).encode()
+                for u, lam in ((op, ident),
+                               (one_row_at_a_time_op(op), one_row_at_a_time_op(ident))))
+            assert stacked == per_row, label
