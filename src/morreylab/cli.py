@@ -13,6 +13,7 @@ config error.  Identical (config, seed) pairs produce byte-identical JSON.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from pathlib import Path
@@ -83,6 +84,19 @@ def load_values(space: DiscreteHomSpace, path: str) -> np.ndarray:
     return arr
 
 
+@contextlib.contextmanager
+def _usage_errors():
+    """A ValueError of a norm or operator computation (a parameter out of
+    range, a non-finite value) as a usage error, exit 2; axiom violations
+    keep exit 1."""
+    try:
+        yield
+    except SpaceValidationError:
+        raise
+    except ValueError as exc:
+        raise CliError(str(exc)) from exc
+
+
 def cmd_space(args) -> int:
     try:
         space = load_space(args)
@@ -114,6 +128,7 @@ def cmd_space(args) -> int:
 _NORM_NAMES = ("lp", "morrey", "bmo", "grand_lebesgue", "grand_morrey")
 
 
+@_usage_errors()
 def cmd_norm(args) -> int:
     space = load_space(args)
     f = load_values(space, args.f) if args.f else np.zeros(space.n)
@@ -150,6 +165,7 @@ def cmd_norm(args) -> int:
     return 0
 
 
+@_usage_errors()
 def cmd_op(args) -> int:
     space = load_space(args)
     f = load_values(space, args.f)

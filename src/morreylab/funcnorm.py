@@ -51,6 +51,11 @@ class TabulatedFunction:
     left and holds the last value on the right.  head_value is the limit at
     0+ (zero for the vanishing families used here), which gives the table an
     explicit right derivative at 0: (y_1 - head) / x_1.
+
+    Knots and values of shape (D, m) make a stack of D tables, one per row:
+    row i of an argument of shape (D,) or (D, k) is evaluated by table i,
+    exactly as that table alone would evaluate it.  Only evaluation and the
+    right derivative (a (D, 1) column) are defined for a stack.
     """
 
     xs: np.ndarray
@@ -60,9 +65,11 @@ class TabulatedFunction:
     def __post_init__(self):
         xs = np.asarray(self.xs, dtype=float)
         ys = np.asarray(self.ys, dtype=float)
-        if xs.ndim != 1 or xs.shape != ys.shape or xs.size == 0:
-            raise ValueError("knots and values must be equal-length 1-D arrays")
-        if xs[0] <= 0 or np.any(np.diff(xs) <= 0):
+        if xs.ndim not in (1, 2) or xs.shape != ys.shape or xs.size == 0:
+            raise ValueError("knots and values must be equal-length 1-D arrays "
+                             "or equal-shape stacks of them")
+        first = xs[0] if xs.ndim == 1 else xs[:, 0].min()
+        if first <= 0 or np.any(np.diff(xs) <= 0):
             raise ValueError("knots must be strictly increasing and positive")
         xs.setflags(write=False)
         ys.setflags(write=False)
@@ -70,13 +77,20 @@ class TabulatedFunction:
         object.__setattr__(self, "ys", ys)
 
     def __call__(self, x):
+        if self.xs.ndim == 2:
+            head = np.full((len(self.xs), 1), self.head_value)
+            xp = np.concatenate([np.zeros_like(head), self.xs], axis=1)
+            yp = np.concatenate([head, self.ys], axis=1)
+            return np.array([np.interp(*row) for row in zip(x, xp, yp)]).reshape(np.shape(x))
         xp = np.concatenate([[0.0], self.xs])
         yp = np.concatenate([[self.head_value], self.ys])
         out = np.interp(x, xp, yp)
         return float(out) if np.isscalar(x) else out
 
     @property
-    def right_derivative0(self) -> float:
+    def right_derivative0(self):
+        if self.xs.ndim == 2:
+            return (self.ys[:, :1] - self.head_value) / self.xs[:, :1]
         return float((self.ys[0] - self.head_value) / self.xs[0])
 
     @property
@@ -255,12 +269,15 @@ class NormResult:
     rank: int | None = None
 
 
-def lp_norm(space: DiscreteHomSpace, f, p: float) -> float:
-    """(sum |f|^p weight)^(1/p) for p >= 1."""
+def lp_norm(space: DiscreteHomSpace, f, p: float):
+    """(sum |f|^p weight)^(1/p) for p >= 1: a float for one input (N,), an
+    (M,) array for a stack (M, N).  Each row is summed by its own dot
+    product and rooted as a scalar, so it gets its one-input value."""
     if p < 1:
         raise ValueError("need p >= 1")
-    v = as_values(space, f)
-    return float((np.abs(v) ** p @ space.weight) ** (1.0 / p))
+    rows, single = _as_rows(space, f)
+    out = np.array([(row @ space.weight) ** (1.0 / p) for row in np.abs(rows) ** p])
+    return float(out[0]) if single else out
 
 
 def _morrey_peaks(space: DiscreteHomSpace, rows: np.ndarray, p: float, lam: float):
@@ -403,38 +420,56 @@ def bmo_norm(space: DiscreteHomSpace, b, variant: str = "mean",
     variant "mean":  max_B avg_B |b - b_B|
     variant "inf":   max_B min_c avg_B |b - c| (c is the lower weighted median)
     variant "jn":    max_B (avg_B |b - b_B|^p)^(1/p), 1 < p < infinity
+
+    A constant has norm 0 exactly: its ball means can be off by roundoff,
+    which would make the norm of c*b depend on c.
     """
     if variant == "jn":
         if p is None or not (1 < p < math.inf):
             raise ValueError("variant 'jn' needs 1 < p < infinity")
-        return float(_oscillation_table(space, b, p).max())
-    if variant not in ("mean", "inf"):
+    elif variant not in ("mean", "inf"):
         raise ValueError(f"unknown BMO variant {variant!r}")
-    return float(_oscillation_table(space, b, 1.0,
+    v = as_values(space, b)
+    if np.ptp(v) == 0:
+        return 0.0
+    if variant == "jn":
+        return float(_oscillation_table(space, v, p).max())
+    return float(_oscillation_table(space, v, 1.0,
                                     "median" if variant == "inf" else "mean").max())
 
 
-def grand_lebesgue_norm_detail(space: DiscreteHomSpace, f, p: float, theta: float,
-                               eps_grid) -> NormResult:
+def _grand_lebesgue_values(space: DiscreteHomSpace, f, p: float, thetas, eps_grid):
+    """eps^(theta/(p-eps)) ||f||_{L^{p-eps}} per theta, input and grid point,
+    shape (T, M, E) for T thetas and M inputs, and whether f was one input.
+    Each Lebesgue norm is computed once, for the whole stack, whatever T is."""
     if p <= 1:
         raise ValueError("need p > 1")
-    if theta <= 0:
+    if any(theta <= 0 for theta in thetas):
         raise ValueError("need theta > 0")
     grid = np.asarray(eps_grid, dtype=float)
     if grid.size == 0:
         raise EmptyGrid("empty epsilon grid")
     if np.any(grid <= 0) or np.any(grid >= p - 1):
         raise ValueError("epsilon grid must lie inside (0, p-1)")
-    vals = np.array([eps ** (theta / (p - eps)) * lp_norm(space, f, p - eps)
-                     for eps in grid])
-    k = int(np.argmax(vals))
-    return NormResult(float(vals[k]), eps=float(grid[k]))
+    rows, single = _as_rows(space, f)
+    norms = np.array([lp_norm(space, rows, p - eps) for eps in grid]).T
+    weights = np.array([[eps ** (theta / (p - eps)) for eps in grid] for theta in thetas])
+    return weights[:, None, :] * norms, single
 
 
-def grand_lebesgue_norm(space: DiscreteHomSpace, f, p: float, theta: float,
-                        eps_grid) -> float:
-    """max over the grid of eps^(theta/(p-eps)) ||f||_{L^{p-eps}}."""
-    return grand_lebesgue_norm_detail(space, f, p, theta, eps_grid).value
+def grand_lebesgue_norm_detail(space: DiscreteHomSpace, f, p: float, theta: float,
+                               eps_grid) -> NormResult:
+    vals = _grand_lebesgue_values(space, as_values(space, f), p, (theta,), eps_grid)[0]
+    k = int(np.argmax(vals[0, 0]))
+    return NormResult(float(vals[0, 0, k]), eps=float(np.asarray(eps_grid, dtype=float)[k]))
+
+
+def grand_lebesgue_norm(space: DiscreteHomSpace, f, p: float, theta: float, eps_grid):
+    """max over the grid of eps^(theta/(p-eps)) ||f||_{L^{p-eps}}: a float for
+    one input (N,), an (M,) array for a stack (M, N)."""
+    vals, single = _grand_lebesgue_values(space, f, p, (theta,), eps_grid)
+    out = vals[0].max(axis=1)
+    return float(out[0]) if single else out
 
 
 def phi_functional_detail(space: DiscreteHomSpace, f, params: GrandParams,

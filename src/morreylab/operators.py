@@ -209,7 +209,9 @@ def potential_apply(space: DiscreteHomSpace, f, alpha: float) -> np.ndarray:
 
 
 def commutator(b, op: Callable[[np.ndarray], np.ndarray], f) -> np.ndarray:
-    """[b, op] f = b * op(f) - op(b * f) for a linear operator handle."""
+    """[b, op] f = b * op(f) - op(b * f) for a linear operator handle: of one
+    pair (N,), or per row of (M, N) stacks of b and f for an operator that
+    maps stacks row by row, as CZOperator and PotentialOperator do."""
     b = np.asarray(b, dtype=float)
     f = np.asarray(f, dtype=float)
     return b * np.asarray(op(f)) - np.asarray(op(b * f))

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -143,6 +144,97 @@ class TestAuxExponents:
         exps = AuxExponents.derive(2.0, 0.25, 0.0, theta1=1.0, delta=0.25)
         with pytest.raises(ValueError):
             psi_table(exps, [0.1, 0.5])
+
+
+A2_KNOTS = np.geomspace(1e-6, 4.0, 17)
+# p = 2, alpha = 1/4, lambda = 1/4 give q = 6, theta2 >= 3 and an A2 slope cap of 1/16
+VALID_DRAW = {"p": 2.0, "alpha": 0.25, "lam": 0.25, "theta1": 1.0, "theta2": 3.5,
+              "slope": 0.05, "delta": 0.5}
+
+
+def derive_one(d):
+    return AuxExponents.derive(d["p"], d["alpha"], d["lam"], d["theta1"],
+                               a2=TabulatedFunction.linear(d["slope"], A2_KNOTS),
+                               delta=d["delta"], theta2=d["theta2"])
+
+
+def derive_batch(draws):
+    """One bundle of D draws: (D, 1) columns and stacks of D A2 tables."""
+    col = {key: np.array([d[key] for d in draws])[:, None] for key in VALID_DRAW}
+    a2 = TabulatedFunction.linear(col["slope"], np.broadcast_to(A2_KNOTS, (len(draws), 17)))
+    return AuxExponents.derive(col["p"], col["alpha"], col["lam"], col["theta1"], a2=a2,
+                               delta=col["delta"], theta2=col["theta2"])
+
+
+def random_draws(n, seed):
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(n):
+        p, lam = rng.uniform(1.05, 5.0), rng.uniform(0.0, 0.9)
+        alpha = rng.uniform(0.05, 0.95) * (1 - lam) / p
+        q = 1.0 / (1.0 / p - alpha / (1.0 - lam))
+        theta1 = rng.uniform(0.5, 2.0)
+        out.append({"p": p, "alpha": alpha, "lam": lam, "theta1": theta1,
+                    "theta2": theta1 * (1 + alpha * q / (1 - lam)) * rng.uniform(1.0, 1.5),
+                    "slope": rng.uniform(0.0, 0.9) * (1 - lam) ** 2 / (alpha * q**2),
+                    "delta": rng.uniform(0.05, 0.5) * min(q - 1.0, 1.0)})
+    return out
+
+
+class TestBatchedBundles:
+    """A batch of draws gives each draw its one-draw values and verdicts."""
+
+    def test_values_match_one_draw_calls(self):
+        draws = random_draws(40, 5)
+        batch = derive_batch(draws)
+        x = np.array([d["delta"] for d in draws])[:, None] * np.linspace(0.05, 1.0, 40)[:, None]
+        values = eval_aux(x, batch)
+        residuals = eta_identity_residual(x, batch)
+        for i, d in enumerate(draws):
+            one = derive_one(d)
+            assert np.array_equal(batch.a1.ys[i], one.a1.ys)
+            assert np.array_equal(batch.a1.xs[i], one.a1.xs)
+            assert (batch.q[i, 0], batch.theta2[i, 0]) == (one.q, one.theta2)
+            want = eval_aux(float(x[i, 0]), one)
+            for name in ("phibar", "phitilde", "abar", "atilde", "phi", "bigphi",
+                         "psi", "bigpsi"):
+                assert getattr(values, name)[i, 0] == getattr(want, name), (i, name)
+            assert residuals[i, 0] == eta_identity_residual(float(x[i, 0]), one)
+
+    @pytest.mark.parametrize("bad", [
+        {"lam": 1.2}, {"alpha": 0.6}, {"p": 0.9}, {"theta2": 0.5}, {"slope": 0.07},
+        {"delta": -0.1}])
+    def test_first_failing_draw_is_named(self, bad):
+        with pytest.raises(ValueError) as one:
+            derive_one({**VALID_DRAW, **bad})
+        draws = [VALID_DRAW] * 5
+        draws[2] = draws[4] = {**VALID_DRAW, **bad}
+        with pytest.raises(ValueError) as batch:
+            derive_batch(draws)
+        assert type(batch.value) is type(one.value)
+        assert str(batch.value).startswith(str(one.value).split(" = ")[0])
+        assert str(batch.value).endswith("(draw 2)")
+
+    def test_slope_guard_names_the_draw(self):
+        slopes = np.array([0.05, 0.05, 0.07, 0.05])[:, None]  # the cap is 1/16
+        steep = TabulatedFunction.linear(slopes, np.broadcast_to(A2_KNOTS, (4, 17)))
+        with pytest.raises(ValueError, match=r"^A2 slope at 0 is 0.07, .* \(draw 2\)$"):
+            dataclasses.replace(derive_batch([VALID_DRAW] * 4), a2=steep)
+        with pytest.raises(ValueError, match=r"^A2 slope at 0 is 0.07, .*\)$"):
+            dataclasses.replace(derive_one(VALID_DRAW),
+                                a2=TabulatedFunction.linear(0.07, A2_KNOTS))
+
+    def test_domain_guard_names_the_draw(self):
+        batch = derive_batch([VALID_DRAW] * 3)
+        with pytest.raises(ValueError, match=r"x = 0.6 outside .* \(draw 1\)"):
+            eval_aux(np.array([[0.1], [0.6], [0.7]]), batch)
+
+    def test_singular_denominator_names_the_draw(self):
+        zero = TabulatedFunction.zero()
+        col = lambda *v: np.array(v)[:, None]
+        with pytest.raises(SingularDenominator) as err:
+            aux_values(col(0.5, 1.0, 1.0), 2.0, 4.0, col(0.25, 1.0, 1.0), 0.0, zero, zero, 1.0)
+        assert (err.value.x, err.value.draw) == (1.0, 1)
 
 
 class TestConstantFormula:

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,6 +10,8 @@ import pytest
 from morreylab import verify
 from morreylab.cli import main
 from morreylab.homspace import build_uniform_grid, dump_space_json
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 SMALL_VERIFY_CFG = {
     "space": {"kind": "circle", "n": 16},
@@ -229,6 +235,35 @@ class TestVerifyCommand:
 class TestUsage:
     def test_no_command_is_usage_error(self, capsys):
         assert main([]) == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["norm", "--grid", "8", "--norm", "lp", "--p", "0.5"],
+        ["norm", "--grid", "8", "--norm", "morrey", "--lambda", "1.5"],
+        ["norm", "--grid", "8", "--norm", "grand_lebesgue", "--p", "1.0"],
+        ["norm", "--grid", "8", "--norm", "grand_morrey", "--p", "1.0"],
+        ["norm", "--grid", "8", "--norm", "bmo", "--variant", "jn", "--p", "1.0"],
+        ["op", "--grid", "8", "--f", "{f}", "--op", "potential", "--alpha", "1.5"],
+        ["op", "--grid", "8", "--f", "{f}", "--op", "maximal_s", "--s", "0.5"],
+        ["norm", "--grid", "8", "--f", "{nan}", "--norm", "lp"],
+        ["op", "--grid", "8", "--f", "{nan}", "--op", "maximal"],
+    ], ids=["lp-p", "morrey-lambda", "grand-lebesgue-p", "grand-morrey-p", "bmo-jn-p",
+            "potential-alpha", "maximal-s", "norm-nan", "op-nan"])
+    def test_out_of_range_parameter_is_usage_error(self, tmp_path, argv):
+        (tmp_path / "f.json").write_text(json.dumps(list(range(8))))
+        (tmp_path / "nan.json").write_text("[1, 2, NaN, 4, 5, 6, 7, 8]")
+        argv = [a.format(f=tmp_path / "f.json", nan=tmp_path / "nan.json") for a in argv]
+        env = {**os.environ, "PYTHONPATH": str(SRC) + os.pathsep + os.environ.get("PYTHONPATH", "")}
+        proc = subprocess.run([sys.executable, "-m", "morreylab.cli", *argv], env=env,
+                              capture_output=True, text=True)
+        assert proc.returncode == 2, proc.stderr
+        assert "error:" in proc.stderr and "Traceback" not in proc.stderr
+
+    def test_axiom_violation_in_norm_keeps_exit_one(self, capsys, tmp_path):
+        path = tmp_path / "bad_space.json"
+        path.write_text(json.dumps({"n": 3, "dist": [[0, 1, 5], [1, 0, 1], [5, 1, 0]],
+                                    "weight": [1, 1, 1], "ct": 1.0, "cs": 1.0}))
+        code, _, err = run(capsys, "norm", "--space", str(path), "--norm", "lp")
+        assert code == 1 and "axiom violation" in err
 
     def test_space_requires_source(self, capsys):
         code, _, err = run(capsys, "space")

@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 
 from morreylab import funcnorm
 from morreylab.funcnorm import (EmptyGrid, GrandNormEvaluator, GrandParams,
-                                GridFunction, TabulatedFunction, _oscillation_table,
-                                bmo_norm, default_eps_grid, grand_lebesgue_norm,
+                                GridFunction, NormResult, TabulatedFunction,
+                                _oscillation_table, bmo_norm, default_eps_grid,
+                                grand_lebesgue_norm, grand_lebesgue_norm_detail,
                                 grand_morrey_norm, lp_norm, morrey_norm,
                                 morrey_norm_detail, phi_functional, s_max)
 from morreylab.homspace import build_from_table, build_uniform_grid
@@ -18,6 +19,20 @@ from morreylab.homspace import build_from_table, build_uniform_grid
 from conftest import (REFERENCE_SPACES, STACK_SPACES, block_edge_stacks, random_cloud,
                       reference_morrey_detail, relabeled, sweep_columns,
                       tie_heavy_samples)
+
+
+def reference_lp_norm(space, f, p):
+    """One input's Lebesgue norm: one power, one dot product, one root."""
+    return float((np.abs(f) ** p @ space.weight) ** (1.0 / p))
+
+
+def reference_grand_lebesgue(space, f, p, theta, grid):
+    """(value, eps) of the grand Lebesgue norm by its per-eps loop; eps is
+    the first maximizing grid point."""
+    vals = np.array([eps ** (theta / (p - eps)) * reference_lp_norm(space, f, p - eps)
+                     for eps in grid])
+    k = int(np.argmax(vals))
+    return float(vals[k]), float(grid[k])
 
 
 def naive_grand_morrey(space, f, params):
@@ -61,6 +76,22 @@ class TestTabulatedFunction:
             TabulatedFunction([1.0, 1.0], [0.0, 1.0])
         with pytest.raises(ValueError):
             TabulatedFunction([-1.0, 1.0], [0.0, 1.0])
+        with pytest.raises(ValueError):  # one row of a stack decreases
+            TabulatedFunction([[0.5, 1.0], [1.0, 0.5]], [[0.0, 1.0], [0.0, 1.0]])
+
+    def test_stack_rows_are_their_own_tables(self):
+        rng = np.random.default_rng(12)
+        xs = np.sort(rng.uniform(0.01, 2.0, (5, 9)), axis=1)
+        ys = rng.normal(size=(5, 9))
+        stack = TabulatedFunction(xs, ys, head_value=0.3)
+        tables = [TabulatedFunction(x, y, head_value=0.3) for x, y in zip(xs, ys)]
+        at = rng.uniform(-0.5, 2.5, (5, 11))
+        at[:, 0] = xs[:, 3]  # on a knot
+        got = stack(at)
+        assert got.shape == at.shape
+        assert np.array_equal(got, [t(x) for t, x in zip(tables, at)])
+        assert np.array_equal(stack(at[:, :1]), [[t(float(x[0]))] for t, x in zip(tables, at)])
+        assert np.array_equal(stack.right_derivative0, [[t.right_derivative0] for t in tables])
 
 
 class TestSMax:
@@ -94,6 +125,19 @@ class TestLpNorm:
     def test_rejects_small_p(self, grid3):
         with pytest.raises(ValueError):
             lp_norm(grid3, np.ones(3), 0.5)
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0, 3.0])
+    @pytest.mark.parametrize("make", STACK_SPACES.values(), ids=STACK_SPACES.keys())
+    def test_stack_rows_match_the_one_input_formula(self, make, p):
+        sp = make()
+        for fs in block_edge_stacks(sp.n, 5, 35):
+            got = lp_norm(sp, fs, p)
+            assert got.shape == (len(fs),)
+            want = [reference_lp_norm(sp, f, p) for f in fs]
+            assert np.array_equal(got, want)
+            for f, value in zip(fs[:3], got):
+                one = lp_norm(sp, f, p)
+                assert isinstance(one, float) and one == value
 
 
 class TestMorreyNorm:
@@ -203,6 +247,14 @@ class TestBmoNorm:
         for variant in ("mean", "inf"):
             assert bmo_norm(grid16, np.full(16, 3.7), variant) == pytest.approx(0.0, abs=1e-14)
         assert bmo_norm(grid16, np.full(16, 3.7), "jn", p=2.0) == pytest.approx(0.0, abs=1e-14)
+
+    @pytest.mark.parametrize("c", [-0.37, 5.3, 1e8])
+    def test_constant_is_exactly_zero_at_any_scale(self, cloud20, c):
+        # ball means of a constant carry roundoff; the norm must not
+        for sp in (build_uniform_grid(32, 1, "circle"), cloud20):
+            b = np.full(sp.n, c)
+            assert bmo_norm(sp, b, "mean") == bmo_norm(sp, b, "inf") == 0.0
+            assert bmo_norm(sp, b, "jn", p=2.0) == 0.0
 
     def test_two_atom_mean(self, two_atom):
         assert bmo_norm(two_atom, [0.0, 1.0], "mean") == pytest.approx(0.5, abs=1e-12)
@@ -363,6 +415,19 @@ class TestGrandLebesgue:
     def test_rejects_grid_outside_range(self, grid3):
         with pytest.raises(ValueError):
             grand_lebesgue_norm(grid3, np.ones(3), 2.0, 1.0, [0.5, 1.5])
+
+    @pytest.mark.parametrize("p, theta", [(1.5, 1.0), (2.0, 2.0), (3.0, 0.5)])
+    @pytest.mark.parametrize("make", STACK_SPACES.values(), ids=STACK_SPACES.keys())
+    def test_stack_rows_match_the_per_eps_loop(self, make, p, theta):
+        sp = make()
+        grid = default_eps_grid(min(p - 1, 1.0) * 0.999999, ratio=0.8, max_points=40)
+        for fs in block_edge_stacks(sp.n, 5, 36):
+            got = grand_lebesgue_norm(sp, fs, p, theta, grid)
+            assert got.shape == (len(fs),)
+            for f, value in zip(fs, got):
+                want, eps = reference_grand_lebesgue(sp, f, p, theta, grid)
+                assert value == want
+                assert grand_lebesgue_norm_detail(sp, f, p, theta, grid) == NormResult(want, eps)
 
 
 class TestPhiFunctional:

@@ -338,6 +338,30 @@ class TestCommutator:
         assert np.allclose(lhs, rhs, atol=1e-12)
 
 
+class TestCommutatorStacks:
+    """[b, op] of (M, N) stacks of b and f against the per-pair loop."""
+
+    @pytest.mark.parametrize("n", [49, 97])
+    def test_stack_matches_per_pair_loop(self, n):
+        sp = build_uniform_grid(n, 1, "circle")
+        rng = np.random.default_rng(n)
+        bs, fs = rng.normal(size=(2, 9, n))
+        bs[3] = 4.2  # a constant b
+        fs[5] = 0.0  # an all-zero f
+        for op in (CZOperator(sp, conjugate_kernel(sp)), PotentialOperator(sp, 0.4)):
+            got = commutator(bs, op, fs)
+            assert np.array_equal(got, [commutator(b, op, f) for b, f in zip(bs, fs)])
+            assert np.allclose(got[3], 0.0, atol=1e-12) and not got[5].any()
+
+    def test_weighted_grid_potential(self):
+        sp = STACK_SPACES["grid2d-weighted"]()
+        rng = np.random.default_rng(49)
+        bs, fs = rng.normal(size=(2, 6, sp.n))
+        op = PotentialOperator(sp, 0.3)
+        assert np.array_equal(commutator(bs, op, fs),
+                              [commutator(b, op, f) for b, f in zip(bs, fs)])
+
+
 class TestDini:
     def test_linear_modulus_exact(self):
         w = TabulatedFunction.power(1.0, np.geomspace(1e-6, 1.0, 40))

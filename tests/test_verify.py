@@ -1,15 +1,16 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from morreylab import verify
-from morreylab.auxfun import AuxExponents, psi_table
+from morreylab.auxfun import AuxExponents, eta_identity_residual, psi_table
 from morreylab.corpus import Corpus, make_corpus
 from morreylab.funcnorm import (GrandNormEvaluator, GrandParams, TabulatedFunction,
-                                bmo_norm, default_eps_grid, grand_morrey_norm, lp_norm,
-                                morrey_norm)
+                                bmo_norm, default_eps_grid, grand_lebesgue_norm,
+                                grand_morrey_norm, lp_norm, morrey_norm)
 from morreylab.homspace import build_from_table, build_uniform_grid
 from morreylab.operators import (CZOperator, PotentialOperator, commutator,
                                  conjugate_kernel, maximal, maximal_s, sharp_maximal)
@@ -688,3 +689,188 @@ class TestStackedCallSites:
                 for u, lam in ((op, ident),
                                (one_row_at_a_time_op(op), one_row_at_a_time_op(ident))))
             assert stacked == per_row, label
+
+
+def reference_eta_residuals(n_draws, seed):
+    """Per-draw loop of eta_identity_report: one rng.uniform call per
+    number, one AuxExponents bundle and one scalar residual per draw."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(n_draws):
+        p = float(rng.uniform(1.05, 5.0))
+        lam = float(rng.uniform(0.0, 0.9))
+        alpha = float(rng.uniform(0.05, 0.95)) * (1 - lam) / p
+        theta1 = float(rng.uniform(0.5, 2.0))
+        q = 1.0 / (1.0 / p - alpha / (1.0 - lam))
+        cap = (1 - lam) ** 2 / (alpha * q**2)
+        slope = float(rng.uniform(0.0, 0.9)) * cap
+        a2 = TabulatedFunction.linear(slope, np.geomspace(1e-6, 4.0, 17))
+        delta = float(rng.uniform(0.05, 0.5)) * min(q - 1.0, 1.0)
+        exps = AuxExponents.derive(p, alpha, lam, theta1, a2=a2, delta=delta)
+        eps = float(rng.uniform(0.05, 1.0)) * delta
+        out.append(eta_identity_residual(eps, exps))
+    return np.array(out)
+
+
+def recorded_eta_residuals(monkeypatch, n_draws, seed):
+    """eta_identity_report and the residuals its batches computed, in draw order."""
+    batches = []
+
+    def recording(eps, exps):
+        r = eta_identity_residual(eps, exps)
+        batches.append(np.ravel(r))
+        return r
+
+    monkeypatch.setattr(verify, "eta_identity_residual", recording)
+    rep = eta_identity_report(n_draws, seed)
+    return rep, np.concatenate(batches) if batches else np.zeros(0)
+
+
+class TestEtaIdentityBatches:
+    """The blocked eta draws against the per-draw loop."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_residuals_match_per_draw_loop(self, monkeypatch, seed):
+        rep, got = recorded_eta_residuals(monkeypatch, 1000, seed)
+        want = reference_eta_residuals(1000, seed)
+        assert np.array_equal(got, want)
+        assert rep.empirical["max_residual"] == want.max()
+        assert rep.worst_sample == int(np.argmax(want))
+
+    @pytest.mark.parametrize("n_draws", [1, 127, 128, 129])
+    def test_block_edges(self, monkeypatch, n_draws):
+        rep, got = recorded_eta_residuals(monkeypatch, n_draws, 3)
+        assert np.array_equal(got, reference_eta_residuals(n_draws, 3))
+        assert len(got) == n_draws
+
+    def test_worst_sample_is_first_maximum_or_none(self, monkeypatch):
+        def fixed(values):
+            return lambda eps, exps: values[:len(eps)].reshape(-1, 1)
+
+        ties = np.zeros(300)
+        ties[[40, 140, 299]] = 1e-16  # equal maxima in three blocks
+        ties[41] = np.nan  # never the worst, as in a strict running maximum
+        for values, worst, arg in ((ties, 1e-16, 40), (np.zeros(300), 0.0, None)):
+            monkeypatch.setattr(verify, "eta_identity_residual", fixed(values))
+            rep = eta_identity_report(300, 0)
+            assert (rep.empirical["max_residual"], rep.worst_sample) == (worst, arg)
+
+    def test_peak_memory_is_one_block(self):
+        eta_identity_report(1, 0)  # first-use imports are not the working set
+        tracemalloc.start()
+        try:
+            eta_identity_report(1000, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20, peak
+
+
+def reference_embedding_chain(space, p, theta1, theta2, eps, samples, *, rel_tol=1e-12):
+    """Per-sample loop of embedding_chain_check with one-input norms."""
+    grid = default_eps_grid(min(p - 1, 1.0) * 0.999999, ratio=0.8, max_points=40)
+    mu_cap = max(1.0, space.total_measure)
+    exact = p <= 2
+    c_head = c_mid = c_tail = 0.0
+    violations, worst_idx = 0, None
+    for i, f in enumerate(samples):
+        npn = lp_norm(space, f, p)
+        if npn <= 0:
+            continue
+        g1 = grand_lebesgue_norm(space, f, p, theta1, grid)
+        g2 = grand_lebesgue_norm(space, f, p, theta2, grid)
+        npe = lp_norm(space, f, p - eps)
+        c_head = max(c_head, g1 / npn)
+        if g1 > 0:
+            c_mid = max(c_mid, g2 / g1)
+        if g2 > 0:
+            c_tail = max(c_tail, npe / g2)
+        if exact and not (g2 <= g1 * (1 + rel_tol) and g1 <= mu_cap * npn * (1 + rel_tol)):
+            violations += 1
+            worst_idx = i
+    return {"C_grand_vs_lp": c_head, "C_theta2_vs_theta1": c_mid,
+            "C_small_vs_grand": c_tail, "violations": violations}, worst_idx
+
+
+class TestEmbeddingChainStacks:
+    """embedding_chain_check on whole corpora against the per-sample loop."""
+
+    @pytest.mark.parametrize("rel_tol", [1e-12, -0.5])
+    @pytest.mark.parametrize("p", [2.0, 3.0])
+    def test_report_matches_per_sample_loop(self, p, rel_tol):
+        fs = small_corpus(CIRC32, 30, 17).samples.copy()
+        fs[[0, 11, 29]] = 0.0
+        rep = embedding_chain_check(CIRC32, p, 1.0, 2.0, 0.5, fs, rel_tol=rel_tol)
+        empirical, worst = reference_embedding_chain(CIRC32, p, 1.0, 2.0, 0.5, fs,
+                                                     rel_tol=rel_tol)
+        assert rep.empirical == empirical and rep.worst_sample == worst
+        if p == 2.0 and rel_tol < 0:  # a negative tolerance makes every live sample violate
+            assert (empirical["violations"], worst) == (27, 28)
+
+    def test_all_zero_corpus(self):
+        rep = embedding_chain_check(CIRC32, 2.0, 1.0, 2.0, 0.5, np.zeros((4, 32)),
+                                    rel_tol=-0.5)
+        assert rep.passed and rep.worst_sample is None
+        assert rep.empirical == reference_embedding_chain(CIRC32, 2.0, 1.0, 2.0, 0.5,
+                                                          np.zeros((4, 32)))[0]
+
+
+# c in +-[2^-4, 2^4]: dyadic ends and non-dyadic values of both signs
+SCALES = (-16.0, -0.37, 0.0625, 5.3)
+
+
+def assert_scale_invariant(got, want, key):
+    """Constants agree to 1e-12 relative; a drift (itself relative) to 1e-12."""
+    if key == "drift":
+        assert abs(got - want) <= 1e-12, key
+    elif isinstance(want, (bool, int)):
+        assert got == want, key
+    else:
+        assert got == pytest.approx(want, rel=1e-12, abs=0.0), key
+
+
+@pytest.fixture(scope="module")
+def scale_setup():
+    checks = build_calibrated_checks(CIRC32, n_eps=8)
+    fc, bc = small_corpus(CIRC32, 16, 21), make_corpus(CIRC32, "bmo", 4, 22)
+    base = {name: chk.ratios(fc, bc if chk.needs_b else None) for name, chk in checks.items()}
+    return checks, fc, bc, base
+
+
+def structural_reports(samples):
+    gp = GrandParams.power(2.0, 0.25, 1.0, max_points=8, ratio=0.7)
+    sigma = float(gp.eps_grid[-2])
+    ident = lambda f: np.asarray(f, dtype=float)
+    return [
+        fefferman_stein_check(CIRC32, 2.0, 0.25, samples),
+        dominance_check(CIRC32, gp, gp.eps_grid[1:7], samples),
+        embedding_chain_check(CIRC32, 2.0, 1.0, 2.0, 0.5, samples),
+        reduction_transfer_check(CIRC32, lambda f: maximal(CIRC32, f), ident, gp, gp,
+                                 sigma, samples, u_name="M", lam_name="Id"),
+        reduction_transfer_check(CIRC32, CZOperator(CIRC32, conjugate_kernel(CIRC32)),
+                                 ident, gp, gp, sigma, samples, u_name="T", lam_name="Id"),
+    ]
+
+
+class TestScaleInvariance:
+    """Every checked ratio is homogeneous of degree 0 in f and in b."""
+
+    @pytest.mark.parametrize("c", SCALES)
+    def test_calibrated_ratios(self, scale_setup, c):
+        checks, fc, bc, base = scale_setup
+        scaled_f = Corpus(c * fc.samples, fc.descriptor, fc.seed)
+        scaled_b = Corpus(c * bc.samples, bc.descriptor, bc.seed)
+        for name, chk in checks.items():
+            pairs = [(scaled_f, bc)] + ([(fc, scaled_b)] if chk.needs_b else [])
+            for f_corpus, b_corpus in pairs:
+                got = chk.ratios(f_corpus, b_corpus if chk.needs_b else None)
+                assert np.array_equal(np.isnan(got), np.isnan(base[name])), name
+                assert np.allclose(got, base[name], rtol=1e-12, atol=0.0, equal_nan=True), name
+
+    @pytest.mark.parametrize("c", SCALES)
+    def test_structural_constants(self, c):
+        samples = small_corpus(CIRC32, 16, 23).samples
+        for rep, want in zip(structural_reports(c * samples), structural_reports(samples)):
+            assert rep.empirical.keys() == want.empirical.keys()
+            for key, value in want.empirical.items():
+                assert_scale_invariant(rep.empirical[key], value, f"{rep.check}.{key}")
