@@ -108,6 +108,23 @@ def _conj(p: float) -> float:
     return p / (p - 1.0)
 
 
+def _bar_tilde(x, p, q, alpha, lam, a1, a2, which):
+    """(phibar, phitilde, abar, atilde) at x from A1 and A2.
+
+    The guards raise SingularDenominator at x, naming the powers `which`
+    that need them: a vanishing denominator first, then a base <= 0."""
+    base2 = 1.0 - lam + a2(x)
+    base1 = 1.0 - lam + a1(x)
+    den_bar = base2 - alpha * (x - q)
+    den_tilde = base1 - alpha * (p - x)
+    _refuse((abs(den_bar) < 1e-300) | (abs(den_tilde) < 1e-300), SingularDenominator, x, which)
+    phibar = p + (x - q) * base2 / den_bar
+    phitilde = q - (p - x) * base1 / den_tilde
+    _refuse((phibar <= 0) | (phitilde <= 0), SingularDenominator, x,
+            f"{which} (negative base)")
+    return phibar, phitilde, 1.0 - alpha * (x - q) / base2, base1 / den_tilde
+
+
 def aux_values(x: float, p: float, q: float, alpha: float, lam: float,
                a1, a2, theta1: float) -> AuxValues:
     """Evaluate the eight bookkeeping functions at x without range checks.
@@ -116,38 +133,12 @@ def aux_values(x: float, p: float, q: float, alpha: float, lam: float,
     raise SingularDenominator so invalid parameter combinations surface with
     the offending x.  For a batch, x and the parameters are (D, 1) columns,
     a1 and a2 stacks of D tables, and every value is a (D, 1) column.
+    phi, Phi are phibar^abar, phitilde^atilde at x; psi, Psi the same at x^theta1.
     """
-    a2x = a2(x)
-    a1x = a1(x)
-    base2 = 1.0 - lam + a2x
-    base1 = 1.0 - lam + a1x
-    den_bar = base2 - alpha * (x - q)
-    _refuse(abs(den_bar) < 1e-300, SingularDenominator, x, "phibar")
-    den_tilde = base1 - alpha * (p - x)
-    _refuse(abs(den_tilde) < 1e-300, SingularDenominator, x, "phitilde/atilde")
-    phibar = p + (x - q) * base2 / den_bar
-    phitilde = q - (p - x) * base1 / den_tilde
-    abar = 1.0 - alpha * (x - q) / base2
-    atilde = base1 / den_tilde
-    _refuse(phibar <= 0, SingularDenominator, x, "phi = phibar^abar (phibar <= 0)")
-    _refuse(phitilde <= 0, SingularDenominator, x, "Phi = phitilde^atilde (phitilde <= 0)")
-    phi = _pow(phibar, abar)
-    bigphi = _pow(phitilde, atilde)
-    xt = _pow(x, theta1)
-    a2t = a2(xt)
-    a1t = a1(xt)
-    b2t = 1.0 - lam + a2t
-    b1t = 1.0 - lam + a1t
-    den_bar_t = b2t - alpha * (xt - q)
-    den_tilde_t = b1t - alpha * (p - xt)
-    _refuse((abs(den_bar_t) < 1e-300) | (abs(den_tilde_t) < 1e-300),
-            SingularDenominator, xt, "psi/Psi")
-    pb_t = p + (xt - q) * b2t / den_bar_t
-    pt_t = q - (p - xt) * b1t / den_tilde_t
-    _refuse((pb_t <= 0) | (pt_t <= 0), SingularDenominator, xt, "psi/Psi (negative base)")
-    psi = _pow(pb_t, 1.0 - alpha * (xt - q) / b2t)
-    bigpsi = _pow(pt_t, b1t / den_tilde_t)
-    return AuxValues(phibar, phitilde, abar, atilde, phi, bigphi, psi, bigpsi)
+    phibar, phitilde, abar, atilde = _bar_tilde(x, p, q, alpha, lam, a1, a2, "phi/Phi")
+    pb_t, pt_t, ab_t, at_t = _bar_tilde(_pow(x, theta1), p, q, alpha, lam, a1, a2, "psi/Psi")
+    return AuxValues(phibar, phitilde, abar, atilde, _pow(phibar, abar),
+                     _pow(phitilde, atilde), _pow(pb_t, ab_t), _pow(pt_t, at_t))
 
 
 def _phibar(x, p, q, alpha, lam, a2x):
@@ -156,9 +147,9 @@ def _phibar(x, p, q, alpha, lam, a2x):
     return p + (x - q) * base / (base - alpha * (x - q))
 
 
-def _not_increasing(vals):
-    """Verdict: a probe row of phibar fails to increase strictly from above 0."""
-    return (np.diff(vals) <= 0).any(axis=-1) | (vals[..., 0] <= 0)
+def _increasing(vals):
+    """Verdict: a probe row of phibar increases strictly from above 0 (NaN fails)."""
+    return (np.diff(vals) > 0).all(axis=-1) & (vals[..., 0] > 0)
 
 
 @dataclass(frozen=True)
@@ -188,19 +179,19 @@ class AuxExponents:
         _refuse(abs(1 / p - 1 / q - alpha / (1 - lam)) > 1e-12, _invalid,
                 "exponents must satisfy 1/p - 1/q = alpha/(1-lambda)")
         lo = self.theta1 * (1 + alpha * q / (1 - lam))
-        _refuse(self.theta2 < lo - 1e-12, _invalid,
-                "need theta2 >= theta1(1 + alpha q/(1-lambda)) = {}", lo)
+        _require(self.theta2 >= lo - 1e-12, _invalid,
+                 "need theta2 >= theta1(1 + alpha q/(1-lambda)) = {}", lo)
         slope = self.a2.right_derivative0
         cap = _pow(1 - lam, 2) / (alpha * _pow(q, 2))
         _require((0 <= slope) & (slope < cap), _invalid,
                  "A2 slope at 0 is {}, outside [0, (1-lambda)^2/(alpha q^2)) = [0, {})",
                  slope, cap)
-        _refuse(self.delta <= 0, _invalid, "need delta > 0")
+        _require(self.delta > 0, _invalid, "need delta > 0")
         # phibar must be strictly increasing on (0, delta]: finite differences
         # on a geometric probe grid.
         probe = _geomspace(self.delta * 1e-6, self.delta, 64)
         vals = _phibar(probe, p, q, alpha, lam, self.a2(probe))
-        _refuse(_not_increasing(vals), _invalid, "phibar is not strictly increasing on (0, delta]")
+        _require(_increasing(vals), _invalid, "phibar is not strictly increasing on (0, delta]")
 
     @staticmethod
     def derive(p: float, alpha: float, lam: float, theta1: float,
@@ -219,7 +210,7 @@ class AuxExponents:
         knots = _geomspace(delta * 1e-8, delta, n_knots)
         a2k = a2(knots)
         eta = _phibar(knots, p, q, alpha, lam, a2k)
-        _refuse(_not_increasing(eta), _invalid, "phibar is not invertible on (0, delta]")
+        _require(_increasing(eta), _invalid, "phibar is not invertible on (0, delta]")
         a1 = TabulatedFunction(eta, a2k)
         return AuxExponents(p, q, alpha, lam, a1, a2, theta1, theta2, delta)
 

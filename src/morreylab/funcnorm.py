@@ -12,7 +12,6 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -68,6 +67,9 @@ class TabulatedFunction:
         if xs.ndim not in (1, 2) or xs.shape != ys.shape or xs.size == 0:
             raise ValueError("knots and values must be equal-length 1-D arrays "
                              "or equal-shape stacks of them")
+        if not (np.isfinite(xs).all() and np.isfinite(ys).all()
+                and np.isfinite(self.head_value)):
+            raise ValueError("knots, values and head_value must be finite")
         first = xs[0] if xs.ndim == 1 else xs[:, 0].min()
         if first <= 0 or np.any(np.diff(xs) <= 0):
             raise ValueError("knots must be strictly increasing and positive")
@@ -127,11 +129,6 @@ class TabulatedFunction:
     def zero(knots=(1.0,)) -> "TabulatedFunction":
         knots = np.asarray(knots, dtype=float)
         return TabulatedFunction(knots, np.zeros_like(knots))
-
-    @staticmethod
-    def from_callable(fn: Callable, knots) -> "TabulatedFunction":
-        knots = np.asarray(knots, dtype=float)
-        return TabulatedFunction(knots, np.asarray([fn(x) for x in knots]))
 
 
 @dataclass(frozen=True)

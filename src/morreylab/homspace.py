@@ -263,13 +263,6 @@ class BallFamily:
     def measure(self, center: int, rank: int) -> float:
         return float(self.measures[center, rank])
 
-    def measure_at(self, center: int, r: float) -> float:
-        """mu of the closed ball of arbitrary radius r >= 0 at `center`."""
-        idx = np.searchsorted(self.radii_of(center), r, side="right") - 1
-        if idx < 0:
-            return 0.0
-        return float(self.measures[center, idx])
-
     @property
     def step_table(self) -> tuple[np.ndarray, list[int]]:
         """(steps, widths) of a shell sweep, built once: rank k adds each

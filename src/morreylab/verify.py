@@ -41,6 +41,7 @@ __all__ = [
     "dominance_check",
     "embedding_chain_check",
     "reduction_transfer_check",
+    "commutator_ratios",
     "commutator_suite",
     "fefferman_stein_check",
     "eta_identity_report",
@@ -306,12 +307,29 @@ def reduction_transfer_check(space: DiscreteHomSpace, U: Callable, Lam: Callable
         details={"sigma": sigma, "eps_grid_below_sigma": eps_used.tolist()})
 
 
+def commutator_ratios(op: Callable, norm_num: Callable, norm_den: Callable,
+                      fs: np.ndarray, bs: np.ndarray, b_norms: Sequence[float],
+                      post: Callable = lambda g: g) -> np.ndarray:
+    """Per pair, norm_num(post([b,T]f)) / (||b||_BMO norm_den(f)), with f_i
+    paired with b_(i mod len(bs)) and b_norms the BMO norms of the rows of bs.
+
+    A pair is excluded (NaN) only where its denominator is 0, so the ratios
+    are invariant under f -> c f and b -> c b.  Commutators are computed for
+    the live pairs only, as one stack.
+    """
+    nbs = np.asarray(b_norms, dtype=float)[np.arange(len(fs)) % len(bs)]
+    out = np.full(len(fs), np.nan)
+    den = nbs * norm_den(fs)
+    live = np.flatnonzero(den > 0)
+    gs = commutator(bs[live % len(bs)], op, fs[live])
+    out[live] = norm_num(post(gs)) / den[live]
+    return out
+
+
 def commutator_suite(space: DiscreteHomSpace, kind: str, f_samples, b_samples,
                      *, params_in: GrandParams, params_out: GrandParams | None = None,
                      exps: AuxExponents | None = None, kernel=None, s: float = 1.5,
-                     corpus_desc: str = "", stability_tol: float = 0.10,
-                     run_pointwise: bool = True,
-                     pointwise_limit: int | None = None) -> VerificationReport:
+                     corpus_desc: str = "", stability_tol: float = 0.10) -> VerificationReport:
     """Commutator boundedness measurements for one operator family.
 
     kind "cz":        [b,T] with the sharp-function pointwise bound and the
@@ -320,20 +338,18 @@ def commutator_suite(space: DiscreteHomSpace, kind: str, f_samples, b_samples,
                       grand-norm ratio into the (psi, A2) bundle, and the exact
                       pointwise domination |[b,I^alpha]f| <= M([b,I^alpha]f).
 
-    Empirical constants are also taken over the first half of the corpus; the
-    report fails if any constant moves more than `stability_tol` or the exact
-    pointwise facts fail.
+    Norm ratios come from `commutator_ratios`.  Empirical constants are also
+    taken over the first half of the corpus; the report fails if any constant
+    moves more than `stability_tol` or the exact pointwise facts fail.
     """
     rows_f = list(f_samples)
-    rows_b = list(b_samples)
+    rows_b = list(b_samples)[:len(rows_f)]
     if not rows_f or not rows_b:
         raise AllSamplesDegenerate("empty corpus")
-    bmo_vals = [bmo_norm(space, b, "mean") for b in rows_b[:len(rows_f)]]
-    nbs = np.array([bmo_vals[i % len(rows_b)] for i in range(len(rows_f))])
-    live = np.flatnonzero(nbs > 1e-14)  # pairs with a constant b are excluded
-    fs = _stack(space, rows_f)[live]
-    bs = _stack(space, rows_b)[live % len(rows_b)]
-    grand = np.full(len(rows_f), np.nan)
+    fs, bs = _stack(space, rows_f), _stack(space, rows_b)
+    b_norms = [bmo_norm(space, b, "mean") for b in rows_b]
+    nbs = np.asarray(b_norms)[np.arange(len(fs)) % len(bs)]
+    live = np.flatnonzero(nbs > 0)  # pairs with a constant b have no pointwise bound
 
     if kind == "cz":
         if kernel is None:
@@ -341,19 +357,15 @@ def commutator_suite(space: DiscreteHomSpace, kind: str, f_samples, b_samples,
         op = CZOperator(space, kernel)
         ev = GrandNormEvaluator(space, params_in)
         ev_out = GrandNormEvaluator(space, params_out) if params_out is not None else ev
-        point = np.zeros(len(rows_f))
-        gs = commutator(bs, op, fs)
-        limit = len(rows_f) if pointwise_limit is None else pointwise_limit
-        at = np.flatnonzero((live < limit) & run_pointwise)
-        dens = nbs[live[at], None] * (maximal_s(space, op(fs[at]), s) + maximal_s(space, fs[at], s))
-        for i, g, den in zip(live[at], gs[at], dens):
+        point = np.zeros(len(fs))
+        gs = commutator(bs[live % len(bs)], op, fs[live])
+        dens = nbs[live, None] * (maximal_s(space, op(fs[live]), s) + maximal_s(space, fs[live], s))
+        for i, g, den in zip(live, gs, dens):
             num = sharp_maximal(space, g)
-            ok = den > 1e-14 * (1 + np.abs(num))
+            ok = den > 1e-14 * np.abs(num)  # a ratio above 1e14 counts as 0/0
             if ok.any():
                 point[i] = float((num[ok] / den[ok]).max())
-        nf = ev(fs)
-        pos = nf > 0
-        grand[live[pos]] = ev_out(gs[pos]) / (nbs[live[pos]] * nf[pos])
+        grand = commutator_ratios(op, ev_out, ev, fs, bs, b_norms)
         p_half, p_full = _half_and_full(point, 0.0)
         g_half, g_full = _half_and_full(grand, np.nan)
         if np.isnan(g_full):
@@ -379,16 +391,16 @@ def commutator_suite(space: DiscreteHomSpace, kind: str, f_samples, b_samples,
     theo = constant_formula("potential_commutator_morrey", p=exps.p, q=exps.q,
                             alpha=exps.alpha, lam=exps.lam, s=s, b=cd, c=1.0)
 
-    morrey = np.full(len(rows_f), np.nan)
-    gs = commutator(bs, pot, fs)
-    mgs = maximal(space, gs)
-    dom_ok = bool(np.all(np.abs(gs) <= mgs * (1 + 1e-12) + 1e-300))
-    den_m = nbs[live] * morrey_norm(space, fs, exps.p, exps.lam)
-    pos = den_m > 0
-    morrey[live[pos]] = morrey_norm(space, mgs[pos], exps.q, exps.lam) / den_m[pos]
-    den_g = nbs[live] * ev_in(fs)
-    pos = den_g > 0
-    grand[live[pos]] = ev_out(mgs[pos]) / den_g[pos]
+    def m_of(g):
+        return maximal(space, g)
+
+    def morrey_at(r):
+        return lambda g: morrey_norm(space, g, r, exps.lam)
+
+    gs = commutator(bs[live % len(bs)], pot, fs[live])
+    dom_ok = bool(np.all(np.abs(gs) <= m_of(gs) * (1 + 1e-12) + 1e-300))
+    morrey = commutator_ratios(pot, morrey_at(exps.q), morrey_at(exps.p), fs, bs, b_norms, m_of)
+    grand = commutator_ratios(pot, ev_out, ev_in, fs, bs, b_norms, m_of)
     m_half, m_full = _half_and_full(morrey, np.nan)
     g_half, g_full = _half_and_full(grand, np.nan)
     if np.isnan(m_full) and np.isnan(g_full):
@@ -471,7 +483,8 @@ def eta_identity_report(n_draws: int = 1000, seed: int = 0,
     """Randomized exactness check of the eta identity over valid parameters.
 
     The draws are evaluated in blocks, each as one batch of (D, 1) columns;
-    every draw gets the residual a one-draw evaluation gives it."""
+    every draw gets the residual a one-draw evaluation gives it.  A NaN
+    residual is the worst one and fails the check."""
     lo, hi = _ETA_RANGES.T
     # one block of the stream equals seven rng.uniform calls per draw
     u = lo + (hi - lo) * np.random.default_rng(seed).random((max(n_draws, 0), 7))
@@ -487,10 +500,10 @@ def eta_identity_report(n_draws: int = 1000, seed: int = 0,
         a2 = TabulatedFunction.linear(s_frac * cap, np.broadcast_to(knots, (len(p), knots.size)))
         delta = d_frac * np.minimum(q - 1.0, 1.0)
         exps = AuxExponents.derive(p, alpha, lam, theta1, a2=a2, delta=delta)
-        # a NaN residual never beats the running maximum, as in a strict comparison
-        r = np.fmax(eta_identity_residual(e_frac * delta, exps).ravel(), 0.0)
-        i = int(np.argmax(r))  # the first maximum, which a strict comparison keeps
-        if r[i] > worst:
+        r = eta_identity_residual(e_frac * delta, exps).ravel()
+        i = int(np.argmax(r))  # the first NaN, else the first maximum
+        # NaN compares false: the first NaN draw becomes the worst and stays it
+        if not (r[i] <= worst or math.isnan(worst)):
             worst, arg = float(r[i]), d0 + i
     return VerificationReport(
         check="eta_identity", corpus=f"random:draws={n_draws}:seed={seed}",
@@ -598,16 +611,10 @@ def build_calibrated_checks(space: DiscreteHomSpace, *, p: float = 2.0,
             return out
         return run
 
-    def commutator_ratios(op, norm_num, norm_den, post=lambda g: g):
+    def pair_ratios(op, norm_num, norm_den, post=lambda g: g):
         def run(fc: Corpus, bc: Corpus | None) -> np.ndarray:
-            bmo_vals = [bmo_of(b.tobytes()) for b in bc]
-            nbs = np.array([bmo_vals[i % len(bc)] for i in range(len(fc))])
-            out = np.full(len(fc), np.nan)
-            den = nbs * norm_den(fc.samples)
-            live = np.flatnonzero(den > 0)
-            gs = commutator(bc.samples[live % len(bc)], op, fc.samples[live])
-            out[live] = norm_num(post(gs)) / den[live]
-            return out
+            return commutator_ratios(op, norm_num, norm_den, fc.samples, bc.samples,
+                                     [bmo_of(b.tobytes()) for b in bc], post)
         return run
 
     def morrey(r: float):
@@ -631,8 +638,8 @@ def build_calibrated_checks(space: DiscreteHomSpace, *, p: float = 2.0,
         "potential_commutator_morrey": CheckDef(
             "potential_commutator_morrey",
             "||M([b,I^a]f)||_{q,lam} <= C_{p,q,a,lam} ||b||_BMO ||f||_{p,lam}",
-            commutator_ratios(pot, morrey_q, morrey_p,
-                              post=lambda g: maximal(space, g)),
+            pair_ratios(pot, morrey_q, morrey_p,
+                        post=lambda g: maximal(space, g)),
             formula=lambda c: constant_formula(
                 "potential_commutator_morrey", p=p, q=q, alpha=alpha, lam=lam,
                 s=s, b=cd, c=c),
@@ -648,12 +655,12 @@ def build_calibrated_checks(space: DiscreteHomSpace, *, p: float = 2.0,
         "cz_commutator_grand": CheckDef(
             "cz_commutator_grand",
             "||[b,T]f||_grand <= C ||b||_BMO ||f||_grand",
-            commutator_ratios(cz, ev, ev), needs_b=True),
+            pair_ratios(cz, ev, ev), needs_b=True),
         "potential_commutator_grand": CheckDef(
             "potential_commutator_grand",
             "||M([b,I^a]f)||_grand(psi,A2) <= C ||b||_BMO ||f||_grand(theta1,A1)",
-            commutator_ratios(pot, ev_out, ev_in,
-                              post=lambda g: maximal(space, g)),
+            pair_ratios(pot, ev_out, ev_in,
+                        post=lambda g: maximal(space, g)),
             needs_b=True),
     }
     for cp in cz_ps:

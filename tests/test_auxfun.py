@@ -122,6 +122,11 @@ class TestAuxExponents:
         with pytest.raises(ValueError):
             AuxExponents.derive(2.0, 0.25, 0.0, theta1=1.0, a2=a2)
 
+    def test_rejects_nan_theta1(self):
+        # theta2 defaults to its lower bound, which is NaN too
+        with pytest.raises(ValueError, match="need theta2"):
+            AuxExponents.derive(2.0, 0.25, 0.25, math.nan)
+
     def test_a1_matches_inverse_relation(self):
         a2 = TabulatedFunction.linear(0.02, np.geomspace(1e-6, 4.0, 17))
         exps = AuxExponents.derive(2.0, 0.25, 0.0, theta1=1.0, a2=a2, delta=0.5)
@@ -203,7 +208,8 @@ class TestBatchedBundles:
 
     @pytest.mark.parametrize("bad", [
         {"lam": 1.2}, {"alpha": 0.6}, {"p": 0.9}, {"theta2": 0.5}, {"slope": 0.07},
-        {"delta": -0.1}])
+        {"delta": -0.1}, {"delta": math.nan}, {"theta1": math.nan}, {"theta2": math.nan},
+        {"p": math.nan}])
     def test_first_failing_draw_is_named(self, bad):
         with pytest.raises(ValueError) as one:
             derive_one({**VALID_DRAW, **bad})

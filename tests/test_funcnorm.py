@@ -79,6 +79,15 @@ class TestTabulatedFunction:
         with pytest.raises(ValueError):  # one row of a stack decreases
             TabulatedFunction([[0.5, 1.0], [1.0, 0.5]], [[0.0, 1.0], [0.0, 1.0]])
 
+    @pytest.mark.parametrize("xs, ys, head", [
+        ([np.nan, 1.0], [0.0, 1.0], 0.0), ([0.5, np.inf], [0.0, 1.0], 0.0),
+        ([0.5, 1.0], [np.nan, 1.0], 0.0), ([0.5, 1.0], [0.0, -np.inf], 0.0),
+        ([0.5, 1.0], [0.0, 1.0], np.nan), ([0.5, 1.0], [0.0, 1.0], np.inf),
+        ([[0.5, 1.0], [0.5, np.nan]], [[0.0, 1.0], [0.0, 1.0]], 0.0)])
+    def test_rejects_non_finite(self, xs, ys, head):
+        with pytest.raises(ValueError, match="finite"):
+            TabulatedFunction(xs, ys, head_value=head)
+
     def test_stack_rows_are_their_own_tables(self):
         rng = np.random.default_rng(12)
         xs = np.sort(rng.uniform(0.01, 2.0, (5, 9)), axis=1)

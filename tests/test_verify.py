@@ -522,7 +522,9 @@ def reference_commutator_ratios(op, norm_num, norm_den, post=None):
 
 def reference_commutator_values(kind, fs, bs, params_in, params_out=None, exps=None, s=1.5):
     """Per-pair loop of commutator_suite on CIRC32: the pointwise (cz) or
-    Morrey (potential) ratio and the grand ratio of each pair, NaN if excluded."""
+    Morrey (potential) ratio and the grand ratio of each pair, NaN if excluded.
+    A norm ratio is excluded where ||b||_BMO norm(f) is 0, and a pointwise
+    ratio above 1e14 counts as 0/0."""
     ev_in = GrandNormEvaluator(CIRC32, params_in)
     ev_out = ev_in if params_out is None else GrandNormEvaluator(CIRC32, params_out)
     op = (CZOperator(CIRC32, conjugate_kernel(CIRC32)) if kind == "cz"
@@ -531,7 +533,7 @@ def reference_commutator_values(kind, fs, bs, params_in, params_out=None, exps=N
     for i, f in enumerate(fs):
         b = bs[i % len(bs)]
         nb = bmo_norm(CIRC32, b, "mean")
-        if nb <= 1e-14:
+        if nb <= 0:
             first.append(0.0 if kind == "cz" else np.nan)
             grand.append(np.nan)
             continue
@@ -539,10 +541,10 @@ def reference_commutator_values(kind, fs, bs, params_in, params_out=None, exps=N
         if kind == "cz":
             den = nb * (maximal_s(CIRC32, op(f), s) + maximal_s(CIRC32, f, s))
             num = sharp_maximal(CIRC32, g)
-            ok = den > 1e-14 * (1 + np.abs(num))
+            ok = den > 1e-14 * np.abs(num)
             first.append(float((num[ok] / den[ok]).max()) if ok.any() else 0.0)
-            nf = ev_in(f)
-            grand.append(ev_out(g) / (nb * nf) if nf > 0 else np.nan)
+            den_g = nb * ev_in(f)
+            grand.append(ev_out(g) / den_g if den_g > 0 else np.nan)
         else:
             mg = maximal(CIRC32, g)
             den_m = nb * morrey_norm(CIRC32, f, exps.p, exps.lam)
@@ -743,17 +745,29 @@ class TestEtaIdentityBatches:
         assert np.array_equal(got, reference_eta_residuals(n_draws, 3))
         assert len(got) == n_draws
 
-    def test_worst_sample_is_first_maximum_or_none(self, monkeypatch):
-        def fixed(values):
-            return lambda eps, exps: values[:len(eps)].reshape(-1, 1)
+    @staticmethod
+    def blockwise(values):
+        """A stand-in residual that hands each block of draws its slice of `values`."""
+        blocks = iter(np.split(values, range(verify._ETA_BLOCK, len(values), verify._ETA_BLOCK)))
+        return lambda eps, exps: next(blocks).reshape(-1, 1)
 
+    def test_worst_sample_is_first_maximum_or_none(self, monkeypatch):
         ties = np.zeros(300)
         ties[[40, 140, 299]] = 1e-16  # equal maxima in three blocks
-        ties[41] = np.nan  # never the worst, as in a strict running maximum
         for values, worst, arg in ((ties, 1e-16, 40), (np.zeros(300), 0.0, None)):
-            monkeypatch.setattr(verify, "eta_identity_residual", fixed(values))
+            monkeypatch.setattr(verify, "eta_identity_residual", self.blockwise(values))
             rep = eta_identity_report(300, 0)
             assert (rep.empirical["max_residual"], rep.worst_sample) == (worst, arg)
+
+    @pytest.mark.parametrize("nans", [[0], [41], [140], [299], [41, 140, 200]])
+    def test_nan_residual_fails(self, monkeypatch, nans):
+        values = np.full(300, 1e-16)
+        values[[10, 200, 250]] = 2e-12  # finite residuals above the tolerance
+        values[nans] = np.nan
+        monkeypatch.setattr(verify, "eta_identity_residual", self.blockwise(values))
+        rep = eta_identity_report(300, 0)
+        assert math.isnan(rep.empirical["max_residual"])
+        assert rep.worst_sample == nans[0] and not rep.passed
 
     def test_peak_memory_is_one_block(self):
         eta_identity_report(1, 0)  # first-use imports are not the working set
@@ -852,6 +866,17 @@ def structural_reports(samples):
     ]
 
 
+def commutator_reports(fs, bs):
+    gp = GrandParams.power(2.0, 0.25, 1.0, max_points=8, ratio=0.7)
+    exps, gp_in, gp_out = verify._potential_bundles(2.0, 0.25, 0.25, 1.0, 0.5, 0.05, 8)
+    return [
+        commutator_suite(CIRC32, "cz", fs, bs, params_in=gp,
+                         kernel=conjugate_kernel(CIRC32), s=1.5),
+        commutator_suite(CIRC32, "potential", fs, bs, params_in=gp_in, params_out=gp_out,
+                         exps=exps, s=1.5),
+    ]
+
+
 class TestScaleInvariance:
     """Every checked ratio is homogeneous of degree 0 in f and in b."""
 
@@ -874,3 +899,17 @@ class TestScaleInvariance:
             assert rep.empirical.keys() == want.empirical.keys()
             for key, value in want.empirical.items():
                 assert_scale_invariant(rep.empirical[key], value, f"{rep.check}.{key}")
+
+    # times 3e-15 the BMO norms of the b corpus are 0 (a constant b) and about
+    # 1.4e-15; scaled by 16 they pass 1e-14, an absolute cut-off, and by 5.3 stay below
+    @pytest.mark.parametrize("b_size", [1.0, 3e-15])
+    @pytest.mark.parametrize("c", SCALES)
+    def test_commutator_suites(self, c, b_size):
+        fs = small_corpus(CIRC32, 16, 24).samples
+        bs = b_size * make_corpus(CIRC32, "bmo", 4, 25).samples
+        base = commutator_reports(fs, bs)
+        for reports in (commutator_reports(c * fs, bs), commutator_reports(fs, c * bs)):
+            for rep, want in zip(reports, base):
+                assert rep.empirical.keys() == want.empirical.keys()
+                for key, value in want.empirical.items():
+                    assert_scale_invariant(rep.empirical[key], value, f"{rep.check}.{key}")
