@@ -311,12 +311,12 @@ _BLOCK_BYTES = 512 * 1024
 _OSC_RANKS = 16  # radius ranks per chunk of the oscillation kernel
 
 
-def _ball_peaks(space: DiscreteHomSpace, powers: np.ndarray, scale: np.ndarray, ufunc):
-    """Each center's peak over ranks k of ufunc(ball sum, scale[k]), shape (N, C, E),
-    for an (N + 1, C, E) block of powers whose row N is zero and an (R, N, E) scale.
-    A running sum per center gains its next shell one step-table row at a time, the
-    zero row padding short shells, so each column adds its atoms in distance order
-    from +0.0: a per-center cumulative sum bit for bit, whatever C is, in O(N C E)."""
+def _ball_peaks(space: DiscreteHomSpace, powers: np.ndarray, scale, ufunc):
+    """Each center's peak over ranks k of ufunc(ball sum, scale(k)), shape (N, C, E),
+    for an (N + 1, C, E) block of powers whose row N is zero, scale(k) being rank k's
+    (N, E) scale.  A running sum per center gains its next shell one step-table row at
+    a time, the zero row padding short shells, so each column adds its atoms in distance
+    order from +0.0: a per-center cumulative sum bit for bit, whatever C is, in O(N C E)."""
     steps, widths = space.balls.step_table
     n, (c, e) = space.n, powers.shape[1:]
     flat = powers.reshape(n + 1, c * e)
@@ -328,7 +328,7 @@ def _ball_peaks(space: DiscreteHomSpace, powers: np.ndarray, scale: np.ndarray, 
             run += tmp
         t += width
         scaled = tmp.reshape(n, c, e)
-        ufunc(run.reshape(n, c, e), scale[k][:, None, :], out=scaled)
+        ufunc(run.reshape(n, c, e), scale(k)[:, None, :], out=scaled)
         np.maximum(peak, scaled, out=peak)
     return peak
 
@@ -343,8 +343,18 @@ def _center_peaks(space: DiscreteHomSpace, rows: np.ndarray, terms, scale) -> np
         block = terms(rows[c0:c0 + columns])
         powers = np.zeros((n + 1, len(block), 1))  # row n pads short shells
         powers[:n, :, 0] = block.T
-        out[c0:c0 + columns] = _ball_peaks(space, powers, scale, np.divide)[:, :, 0].T
+        out[c0:c0 + columns] = _ball_peaks(space, powers, scale.__getitem__, np.divide)[:, :, 0].T
     return out
+
+
+def _grand_peaks(space: DiscreteHomSpace, rows: np.ndarray, pe: np.ndarray, scale):
+    """(N, C, E) peaks over ranks of scale(k) sum_B |f|^(p-eps) w for a (C, N) block
+    of inputs, scale(k) being rank k's (N, E) mu^(-lam_eff), and the powers swept."""
+    n = space.n
+    powers = np.zeros((n + 1, len(rows), pe.size))  # row n pads short shells
+    np.power(np.abs(rows.T)[:, :, None], pe, out=powers[:n])
+    powers[:n] *= space.weight[:, None, None]
+    return _ball_peaks(space, powers, scale, np.multiply), powers
 
 
 def _oscillation_table(space: DiscreteHomSpace, f, p: float = 1.0,
@@ -469,24 +479,31 @@ def grand_lebesgue_norm(space: DiscreteHomSpace, f, p: float, theta: float, eps_
     return float(out[0]) if single else out
 
 
-def phi_functional_detail(space: DiscreteHomSpace, f, params: GrandParams,
-                          s: float) -> NormResult:
-    if not (0 < s <= params.smax * (1 + 1e-12)):
-        raise ValueError("need 0 < s <= s_max")
+def _grand_grid(params: GrandParams, s: float):
+    """Grid points eps below s, p - eps, max(lam - A(eps), 0) and phi(eps)^(1/(p - eps))."""
     grid = params.eps_grid[params.eps_grid < s]
     if grid.size == 0:
         raise EmptyGrid(f"no grid point below s={s}")
-    v = as_values(space, f)
-    best = NormResult(-1.0)
-    for eps in grid:
-        pe = params.p - eps
-        le = max(params.lam - params.A(eps), 0.0)
-        detail = morrey_norm_detail(space, v, pe, le)
-        val = params.phi(eps) ** (1.0 / pe) * detail.value
-        if val > best.value:
-            best = NormResult(val, eps=float(eps), center=detail.center,
-                              rank=detail.rank)
-    return best
+    pe = params.p - grid
+    return grid, pe, np.maximum(params.lam - params.A(grid), 0.0), params.phi(grid) ** (1.0 / pe)
+
+
+def phi_functional_detail(space: DiscreteHomSpace, f, params: GrandParams,
+                          s: float) -> NormResult:
+    """phi_functional and its first maximising eps, then center, then rank: one shell
+    sweep of the grid below s, forming mu(B)^(-lam_eff) per rank in O(N E) memory."""
+    if not (0 < s <= params.smax * (1 + 1e-12)):
+        raise ValueError("need 0 < s <= s_max")
+    grid, pe, lam_eff, phi_pow = _grand_grid(params, s)
+    bf = space.balls
+    peak, powers = _grand_peaks(space, as_values(space, f)[None], pe,
+                                lambda k: bf.measures[:, k, None] ** -lam_eff)
+    vals = phi_pow * peak[:, 0].max(axis=0) ** (1.0 / pe)
+    e = int(np.argmax(vals))
+    c = int(np.argmax(peak[:, 0, e]))
+    row = np.cumsum(powers[bf.order[c], 0, e])[bf.counts[c] - 1] \
+        * (bf.measures[c, :, None] ** -lam_eff)[:, e]
+    return NormResult(float(vals[e]), eps=float(grid[e]), center=c, rank=int(np.argmax(row)))
 
 
 def phi_functional(space: DiscreteHomSpace, f, params: GrandParams, s: float) -> float:
@@ -513,9 +530,9 @@ class GrandNormEvaluator:
     Precomputes mu(B)^(-lam_eff) per (center, rank, eps) in `mu_pow`,
     stored rank-major so the (N, E) slice of one rank is contiguous, and
     reads the ball family's step table (`steps`, `widths`).  Inputs are
-    swept by `_ball_peaks` in column blocks of C inputs, C sized so the
-    sweep's arrays fit `_BLOCK_BYTES`.  Matches grand_morrey_norm to
-    roundoff.
+    swept by `_grand_peaks`, as in grand_morrey_norm, in column blocks of C
+    inputs, C sized so the sweep's arrays fit `_BLOCK_BYTES`; the grand
+    norm of one input equals grand_morrey_norm bit for bit.
 
     Results are memoised per input row for the instance's lifetime.  The
     memo is the only state calls share and its get and set are atomic, so
@@ -526,16 +543,10 @@ class GrandNormEvaluator:
         self.space = space
         self.params = params
         bf = space.balls
-        grid = params.eps_grid[params.eps_grid < params.smax]
-        if grid.size == 0:
-            raise EmptyGrid("no grid point below s_max")
-        self.grid = grid
-        self.pe = params.p - grid
-        lam_eff = np.maximum(params.lam - params.A(grid), 0.0)
+        self.grid, self.pe, lam_eff, self.phi_pow = _grand_grid(params, params.smax)
         # mu^(-lam_eff) indexed (N, R, E), stored (R, N, E)
         self.mu_pow = (np.ascontiguousarray(bf.measures.T)[:, :, None]
                        ** -lam_eff).transpose(1, 0, 2)
-        self.phi_pow = params.phi(grid) ** (1.0 / self.pe)
         self.steps, self.widths = bf.step_table
         # inputs per column block: powers, run, tmp and peak are (N, C E) each
         self.columns = max(1, _BLOCK_BYTES // (4 * 8 * space.n * self.pe.size))
@@ -544,7 +555,6 @@ class GrandNormEvaluator:
     def morrey_vector(self, f) -> np.ndarray:
         """Per-grid-point Morrey norms ||f||_{p-eps, lam-A(eps)}: shape (E,)
         for one input, (M, E) for a stack of M."""
-        n, e = self.space.n, self.pe.size
         rows, single = _as_rows(self.space, f)
         keys = [hashlib.blake2b(r.tobytes(), digest_size=16).digest() for r in rows]
         todo: dict[bytes, int] = {}  # first row of each input the memo lacks
@@ -552,15 +562,12 @@ class GrandNormEvaluator:
             if key not in self._memo:
                 todo.setdefault(key, i)
         missing, at = list(todo), list(todo.values())
+        scale = self.mu_pow.transpose(1, 0, 2).__getitem__
         for c0 in range(0, len(missing), self.columns):
             c1 = c0 + self.columns
-            block = rows[at[c0:c1]]
-            powers = np.zeros((n + 1, len(block), e))  # row n pads short shells
-            np.power(np.abs(block.T)[:, :, None], self.pe, out=powers[:n])
-            powers[:n] *= self.space.weight[:, None, None]
-            peak = _ball_peaks(self.space, powers, self.mu_pow.transpose(1, 0, 2), np.multiply)
+            peak = _grand_peaks(self.space, rows[at[c0:c1]], self.pe, scale)[0]
             self._memo.update(zip(missing[c0:c1], peak.max(axis=0) ** (1.0 / self.pe)))
-        out = np.array([self._memo[key] for key in keys]).reshape(len(keys), e)
+        out = np.array([self._memo[key] for key in keys]).reshape(len(keys), self.pe.size)
         return out[0] if single else out
 
     def weighted_vector(self, f) -> np.ndarray:

@@ -41,7 +41,7 @@ __all__ = [
     "dominance_check",
     "embedding_chain_check",
     "reduction_transfer_check",
-    "commutator_ratios",
+    "norm_ratios",
     "commutator_suite",
     "fefferman_stein_check",
     "eta_identity_report",
@@ -307,22 +307,19 @@ def reduction_transfer_check(space: DiscreteHomSpace, U: Callable, Lam: Callable
         details={"sigma": sigma, "eps_grid_below_sigma": eps_used.tolist()})
 
 
-def commutator_ratios(op: Callable, norm_num: Callable, norm_den: Callable,
-                      fs: np.ndarray, bs: np.ndarray, b_norms: Sequence[float],
-                      post: Callable = lambda g: g) -> np.ndarray:
-    """Per pair, norm_num(post([b,T]f)) / (||b||_BMO norm_den(f)), with f_i
-    paired with b_(i mod len(bs)) and b_norms the BMO norms of the rows of bs.
+def norm_ratios(norm_num: Callable, norm_den: Callable, fs: np.ndarray,
+                gs: np.ndarray, nbs) -> np.ndarray:
+    """Per pair, norm_num(g) / (nbs norm_den(f)): gs is the pairs' output stack,
+    one row per row of fs and already through any post-operator, and nbs each
+    pair's ||b||_BMO (1.0 for an operator without b).
 
     A pair is excluded (NaN) only where its denominator is 0, so the ratios
-    are invariant under f -> c f and b -> c b.  Commutators are computed for
-    the live pairs only, as one stack.
+    are invariant under f -> c f and b -> c b.  Only live rows of gs are normed.
     """
-    nbs = np.asarray(b_norms, dtype=float)[np.arange(len(fs)) % len(bs)]
     out = np.full(len(fs), np.nan)
     den = nbs * norm_den(fs)
     live = np.flatnonzero(den > 0)
-    gs = commutator(bs[live % len(bs)], op, fs[live])
-    out[live] = norm_num(post(gs)) / den[live]
+    out[live] = norm_num(gs[live]) / den[live]
     return out
 
 
@@ -338,7 +335,7 @@ def commutator_suite(space: DiscreteHomSpace, kind: str, f_samples, b_samples,
                       grand-norm ratio into the (psi, A2) bundle, and the exact
                       pointwise domination |[b,I^alpha]f| <= M([b,I^alpha]f).
 
-    Norm ratios come from `commutator_ratios`.  Empirical constants are also
+    Norm ratios come from `norm_ratios`.  Empirical constants are also
     taken over the first half of the corpus; the report fails if any constant
     moves more than `stability_tol` or the exact pointwise facts fail.
     """
@@ -347,8 +344,8 @@ def commutator_suite(space: DiscreteHomSpace, kind: str, f_samples, b_samples,
     if not rows_f or not rows_b:
         raise AllSamplesDegenerate("empty corpus")
     fs, bs = _stack(space, rows_f), _stack(space, rows_b)
-    b_norms = [bmo_norm(space, b, "mean") for b in rows_b]
-    nbs = np.asarray(b_norms)[np.arange(len(fs)) % len(bs)]
+    pairs = np.arange(len(fs)) % len(bs)
+    nbs = np.array([bmo_norm(space, b, "mean") for b in rows_b])[pairs]
     live = np.flatnonzero(nbs > 0)  # pairs with a constant b have no pointwise bound
 
     if kind == "cz":
@@ -358,14 +355,14 @@ def commutator_suite(space: DiscreteHomSpace, kind: str, f_samples, b_samples,
         ev = GrandNormEvaluator(space, params_in)
         ev_out = GrandNormEvaluator(space, params_out) if params_out is not None else ev
         point = np.zeros(len(fs))
-        gs = commutator(bs[live % len(bs)], op, fs[live])
+        gs = commutator(bs[pairs], op, fs)
         dens = nbs[live, None] * (maximal_s(space, op(fs[live]), s) + maximal_s(space, fs[live], s))
-        for i, g, den in zip(live, gs, dens):
-            num = sharp_maximal(space, g)
+        for i, den in zip(live, dens):
+            num = sharp_maximal(space, gs[i])
             ok = den > 1e-14 * np.abs(num)  # a ratio above 1e14 counts as 0/0
             if ok.any():
                 point[i] = float((num[ok] / den[ok]).max())
-        grand = commutator_ratios(op, ev_out, ev, fs, bs, b_norms)
+        grand = norm_ratios(ev_out, ev, fs, gs, nbs)
         p_half, p_full = _half_and_full(point, 0.0)
         g_half, g_full = _half_and_full(grand, np.nan)
         if np.isnan(g_full):
@@ -391,16 +388,14 @@ def commutator_suite(space: DiscreteHomSpace, kind: str, f_samples, b_samples,
     theo = constant_formula("potential_commutator_morrey", p=exps.p, q=exps.q,
                             alpha=exps.alpha, lam=exps.lam, s=s, b=cd, c=1.0)
 
-    def m_of(g):
-        return maximal(space, g)
-
     def morrey_at(r):
         return lambda g: morrey_norm(space, g, r, exps.lam)
 
-    gs = commutator(bs[live % len(bs)], pot, fs[live])
-    dom_ok = bool(np.all(np.abs(gs) <= m_of(gs) * (1 + 1e-12) + 1e-300))
-    morrey = commutator_ratios(pot, morrey_at(exps.q), morrey_at(exps.p), fs, bs, b_norms, m_of)
-    grand = commutator_ratios(pot, ev_out, ev_in, fs, bs, b_norms, m_of)
+    gs = commutator(bs[pairs], pot, fs)
+    mgs = maximal(space, gs)
+    dom_ok = bool(np.all(np.abs(gs[live]) <= mgs[live] * (1 + 1e-12) + 1e-300))
+    morrey = norm_ratios(morrey_at(exps.q), morrey_at(exps.p), fs, mgs, nbs)
+    grand = norm_ratios(ev_out, ev_in, fs, mgs, nbs)
     m_half, m_full = _half_and_full(morrey, np.nan)
     g_half, g_full = _half_and_full(grand, np.nan)
     if np.isnan(m_full) and np.isnan(g_full):
@@ -604,17 +599,15 @@ def build_calibrated_checks(space: DiscreteHomSpace, *, p: float = 2.0,
     # row at a time inside, so their summation order is unchanged
     def plain_ratios(op, norm_num, norm_den):
         def run(fc: Corpus, bc: Corpus | None) -> np.ndarray:
-            out = np.full(len(fc), np.nan)
-            den = norm_den(fc.samples)
-            live = np.flatnonzero(den > 0)
-            out[live] = norm_num(op(fc.samples[live])) / den[live]
-            return out
+            return norm_ratios(norm_num, norm_den, fc.samples, op(fc.samples), 1.0)
         return run
 
     def pair_ratios(op, norm_num, norm_den, post=lambda g: g):
         def run(fc: Corpus, bc: Corpus | None) -> np.ndarray:
-            return commutator_ratios(op, norm_num, norm_den, fc.samples, bc.samples,
-                                     [bmo_of(b.tobytes()) for b in bc], post)
+            pairs = np.arange(len(fc)) % len(bc)
+            nbs = np.array([bmo_of(b.tobytes()) for b in bc])[pairs]
+            gs = post(commutator(bc.samples[pairs], op, fc.samples))
+            return norm_ratios(norm_num, norm_den, fc.samples, gs, nbs)
         return run
 
     def morrey(r: float):

@@ -73,6 +73,27 @@ def reference_morrey_detail(space, f, p, lam):
     return float(table[c, k] ** (1.0 / p)), c, k
 
 
+def reference_phi_functional(space, f, params, s):
+    """The per-eps loop of morrey_norm_detail that the one-sweep
+    phi_functional_detail replaced, kept verbatim as its reference."""
+    if not (0 < s <= params.smax * (1 + 1e-12)):
+        raise ValueError("need 0 < s <= s_max")
+    grid = params.eps_grid[params.eps_grid < s]
+    if grid.size == 0:
+        raise funcnorm.EmptyGrid(f"no grid point below s={s}")
+    v = funcnorm.as_values(space, f)
+    best = funcnorm.NormResult(-1.0)
+    for eps in grid:
+        pe = params.p - eps
+        le = max(params.lam - params.A(eps), 0.0)
+        detail = funcnorm.morrey_norm_detail(space, v, pe, le)
+        val = params.phi(eps) ** (1.0 / pe) * detail.value
+        if val > best.value:
+            best = funcnorm.NormResult(val, eps=float(eps), center=detail.center,
+                                       rank=detail.rank)
+    return best
+
+
 def reference_maximal(space, f):
     """Max ball average of |f| per center from the dense table."""
     v = np.abs(np.asarray(f, dtype=float))

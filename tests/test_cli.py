@@ -9,6 +9,7 @@ import pytest
 
 from morreylab import verify
 from morreylab.cli import main
+from morreylab.funcnorm import GrandNormEvaluator, GrandParams
 from morreylab.homspace import build_uniform_grid, dump_space_json
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -76,6 +77,21 @@ class TestNormCommand:
                            "--lambda", "0.25")
         assert code == 0
         assert json.loads(out)["value"] == 0.0
+
+    def test_nonzero_grand_morrey_is_the_evaluator_value(self, capsys, tmp_path):
+        f = np.random.default_rng(12).normal(size=16)
+        path = tmp_path / "f.json"
+        path.write_text(json.dumps(f.tolist()))
+        code, out, _ = run(capsys, "norm", "--circle", "16", "--f", str(path),
+                           "--norm", "grand_morrey", "--p", "2.0", "--lambda", "0.25")
+        assert code == 0
+        payload = json.loads(out)
+        gp = GrandParams.power(2.0, 0.25, 1.0)
+        assert payload["value"] > 0
+        assert payload["value"] == GrandNormEvaluator(build_uniform_grid(16, 1, "circle"), gp)(f)
+        argmax = payload["argmax"]
+        assert argmax["eps"] in gp.eps_grid[gp.eps_grid < gp.smax]
+        assert 0 <= argmax["center"] < 16 and argmax["radius_rank"] >= 0
 
     def test_unknown_norm_usage_error(self, capsys):
         code, _, err = run(capsys, "norm", "--grid", "8", "--norm", "bogus")

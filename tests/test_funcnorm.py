@@ -12,13 +12,14 @@ from morreylab.funcnorm import (EmptyGrid, GrandNormEvaluator, GrandParams,
                                 GridFunction, NormResult, TabulatedFunction,
                                 _oscillation_table, bmo_norm, default_eps_grid,
                                 grand_lebesgue_norm, grand_lebesgue_norm_detail,
-                                grand_morrey_norm, lp_norm, morrey_norm,
-                                morrey_norm_detail, phi_functional, s_max)
+                                grand_morrey_norm, grand_morrey_norm_detail, lp_norm,
+                                morrey_norm, morrey_norm_detail, phi_functional,
+                                phi_functional_detail, s_max)
 from morreylab.homspace import build_from_table, build_uniform_grid
 
 from conftest import (REFERENCE_SPACES, STACK_SPACES, block_edge_stacks, random_cloud,
-                      reference_morrey_detail, relabeled, sweep_columns,
-                      tie_heavy_samples)
+                      reference_morrey_detail, reference_phi_functional, relabeled,
+                      sweep_columns, tie_heavy_samples)
 
 
 def reference_lp_norm(space, f, p):
@@ -499,6 +500,101 @@ class TestGrandMorrey:
             for _ in range(5):
                 f = rng.normal(size=sp.n)
                 assert ev(f) == pytest.approx(grand_morrey_norm(sp, f, gp), rel=1e-12)
+
+
+# verify's bundle (16 eps points, A = linear(0.5)) and the CLI's (A = 0, 131 points)
+VIEW_BUNDLES = {
+    "verify": lambda: GrandParams.power(
+        2.0, 0.25, 1.0, A=TabulatedFunction.linear(0.5, np.linspace(0.0, 1.0, 33)[1:]),
+        max_points=16, ratio=0.7),
+    "cli": lambda: GrandParams.power(2.0, 0.25, 1.0),
+}
+
+
+def spiked(n, seed):
+    """Small noise plus one spike: the grand norm's (eps, center, rank) is
+    then attained by one ball, so no roundoff tie decides the witness."""
+    rng = np.random.default_rng(seed)
+    f = 0.05 * rng.normal(size=n)
+    f[rng.integers(n)] = 10.0
+    return f
+
+
+def direct_grand_value(space, f, params, res):
+    """phi(eps)^(1/(p-eps)) (mu B^(-lam_eff) sum_B |f|^(p-eps) w)^(1/(p-eps)) on
+    the witness ball, with its members taken from the raw distance row."""
+    pe = params.p - res.eps
+    lam_eff = max(params.lam - params.A(res.eps), 0.0)
+    members = space.dist[res.center] <= space.balls.radii_of(res.center)[res.rank]
+    total = (np.abs(f[members]) ** pe * space.weight[members]).sum()
+    mu = space.weight[members].sum()
+    return params.phi(res.eps) ** (1.0 / pe) * (total / mu ** lam_eff) ** (1.0 / pe)
+
+
+class TestGrandMorreyView:
+    """grand_morrey_norm and phi_functional are a table-free view of the
+    evaluator's shell sweep."""
+
+    @pytest.mark.parametrize("bundle", VIEW_BUNDLES, ids=VIEW_BUNDLES.keys())
+    @pytest.mark.parametrize("make", STACK_SPACES.values(), ids=STACK_SPACES.keys())
+    def test_equals_evaluator_and_witness_recomputes(self, make, bundle):
+        sp, gp = make(), VIEW_BUNDLES[bundle]()
+        ev = GrandNormEvaluator(sp, gp)
+        rng = np.random.default_rng(40)
+        for f in (rng.normal(size=sp.n) * rng.exponential(size=sp.n),
+                  *tie_heavy_samples(sp.n, 41), spiked(sp.n, 42)):
+            value = grand_morrey_norm(sp, f, gp)
+            assert type(value) is float and value == ev(f)
+            res = grand_morrey_norm_detail(sp, f, gp)
+            assert res.value == value and res.eps in ev.grid
+            assert direct_grand_value(sp, f, gp, res) == pytest.approx(value, rel=1e-12)
+
+    @pytest.mark.parametrize("bundle", VIEW_BUNDLES, ids=VIEW_BUNDLES.keys())
+    @pytest.mark.parametrize("make", STACK_SPACES.values(), ids=STACK_SPACES.keys())
+    def test_matches_the_per_eps_loop(self, make, bundle):
+        sp, gp = make(), VIEW_BUNDLES[bundle]()
+        rng = np.random.default_rng(43)
+        for f in (rng.normal(size=sp.n), *tie_heavy_samples(sp.n, 44)):
+            want = reference_phi_functional(sp, f, gp, gp.smax)
+            assert grand_morrey_norm(sp, f, gp) == pytest.approx(want.value, rel=1e-12)
+        for seed in (45, 46):
+            f = spiked(sp.n, seed)
+            got = grand_morrey_norm_detail(sp, f, gp)
+            want = reference_phi_functional(sp, f, gp, gp.smax)
+            assert got.value == pytest.approx(want.value, rel=1e-12)
+            assert (got.eps, got.center, got.rank) == (want.eps, want.center, want.rank)
+
+    @pytest.mark.parametrize("make", STACK_SPACES.values(), ids=STACK_SPACES.keys())
+    def test_phi_functional_below_s_max_matches_the_loop(self, make):
+        sp, gp = make(), VIEW_BUNDLES["cli"]()
+        f = spiked(sp.n, 47)
+        for s in (0.05, 0.3, 0.6, 0.9):
+            got, want = phi_functional_detail(sp, f, gp, s), reference_phi_functional(sp, f, gp, s)
+            assert got.eps < s
+            assert phi_functional(sp, f, gp, s) == got.value == pytest.approx(want.value, rel=1e-12)
+            assert (got.eps, got.center, got.rank) == (want.eps, want.center, want.rank)
+
+    @pytest.mark.parametrize("make", STACK_SPACES.values(), ids=STACK_SPACES.keys())
+    def test_zero_input_witness(self, make):
+        sp, gp = make(), VIEW_BUNDLES["verify"]()
+        want = NormResult(0.0, eps=float(gp.eps_grid[0]), center=0, rank=0)
+        assert grand_morrey_norm_detail(sp, np.zeros(sp.n), gp) == want
+        assert reference_phi_functional(sp, np.zeros(sp.n), gp, gp.smax) == want
+
+    def test_builds_no_rank_table(self):
+        # one (R, N, E) table of mu^(-lam_eff), R = 129 here, would take R / 8 times the bound
+        sp, gp = build_uniform_grid(256, 1, "circle"), VIEW_BUNDLES["cli"]()
+        e = int(np.count_nonzero(gp.eps_grid < gp.smax))
+        assert e == 131
+        f = np.random.default_rng(48).normal(size=sp.n)
+        sp.balls.step_table  # the ball family and its step table are built once per space
+        tracemalloc.start()
+        try:
+            grand_morrey_norm_detail(sp, f, gp)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * (sp.n + 1) * e * 8, peak
 
 
 def unblocked_morrey_vector(ev, f):
