@@ -108,13 +108,13 @@ def _conj(p: float) -> float:
     return p / (p - 1.0)
 
 
-def _bar_tilde(x, p, q, alpha, lam, a1, a2, which):
-    """(phibar, phitilde, abar, atilde) at x from A1 and A2.
+def _bar_tilde(x, p, q, alpha, lam, a1x, a2x, which):
+    """(phibar, phitilde, abar, atilde) at x from the values a1x = A1(x), a2x = A2(x).
 
     The guards raise SingularDenominator at x, naming the powers `which`
     that need them: a vanishing denominator first, then a base <= 0."""
-    base2 = 1.0 - lam + a2(x)
-    base1 = 1.0 - lam + a1(x)
+    base2 = 1.0 - lam + a2x
+    base1 = 1.0 - lam + a1x
     den_bar = base2 - alpha * (x - q)
     den_tilde = base1 - alpha * (p - x)
     _refuse((abs(den_bar) < 1e-300) | (abs(den_tilde) < 1e-300), SingularDenominator, x, which)
@@ -135,8 +135,14 @@ def aux_values(x: float, p: float, q: float, alpha: float, lam: float,
     a1 and a2 stacks of D tables, and every value is a (D, 1) column.
     phi, Phi are phibar^abar, phitilde^atilde at x; psi, Psi the same at x^theta1.
     """
-    phibar, phitilde, abar, atilde = _bar_tilde(x, p, q, alpha, lam, a1, a2, "phi/Phi")
-    pb_t, pt_t, ab_t, at_t = _bar_tilde(_pow(x, theta1), p, q, alpha, lam, a1, a2, "psi/Psi")
+    return _aux_values(x, p, q, alpha, lam, a1, a2, theta1, a2(x))
+
+
+def _aux_values(x, p, q, alpha, lam, a1, a2, theta1, a2x) -> AuxValues:
+    """aux_values, given the values a2x = A2(x)."""
+    phibar, phitilde, abar, atilde = _bar_tilde(x, p, q, alpha, lam, a1(x), a2x, "phi/Phi")
+    xt = _pow(x, theta1)
+    pb_t, pt_t, ab_t, at_t = _bar_tilde(xt, p, q, alpha, lam, a1(xt), a2(xt), "psi/Psi")
     return AuxValues(phibar, phitilde, abar, atilde, _pow(phibar, abar),
                      _pow(phitilde, atilde), _pow(pb_t, ab_t), _pow(pt_t, at_t))
 
@@ -215,20 +221,28 @@ class AuxExponents:
         return AuxExponents(p, q, alpha, lam, a1, a2, theta1, theta2, delta)
 
 
-def eval_aux(x: float, exps: AuxExponents) -> AuxValues:
-    """All eight auxiliary values at 0 < x <= delta."""
+def _in_domain(x, exps: AuxExponents):
+    """x, once checked to lie in (0, delta]."""
     _require((0 < x) & (x <= exps.delta * (1 + 1e-12)), _invalid,
              "x = {} outside (0, delta = {}]", x, exps.delta)
-    return aux_values(x, exps.p, exps.q, exps.alpha, exps.lam,
+    return x
+
+
+def eval_aux(x: float, exps: AuxExponents) -> AuxValues:
+    """All eight auxiliary values at 0 < x <= delta."""
+    return aux_values(_in_domain(x, exps), exps.p, exps.q, exps.alpha, exps.lam,
                       exps.a1, exps.a2, exps.theta1)
 
 
 def eta_identity_residual(eps: float, exps: AuxExponents):
     """|1/(p - phibar(eps)) - 1/(q - eps) - alpha/(1 - lambda + A2(eps))|:
-    a float, or a (D, 1) column for a batch of draws."""
-    eta = eval_aux(eps, exps).phibar
+    a float, or a (D, 1) column for a batch of draws.  A2(eps) is evaluated
+    once, for phibar and the right-hand side."""
+    a2x = exps.a2(_in_domain(eps, exps))
+    eta = _aux_values(eps, exps.p, exps.q, exps.alpha, exps.lam, exps.a1, exps.a2,
+                      exps.theta1, a2x).phibar
     lhs = 1.0 / (exps.p - eta) - 1.0 / (exps.q - eps)
-    rhs = exps.alpha / (1.0 - exps.lam + exps.a2(eps))
+    rhs = exps.alpha / (1.0 - exps.lam + a2x)
     return abs(lhs - rhs)
 
 

@@ -316,7 +316,9 @@ def _ball_peaks(space: DiscreteHomSpace, powers: np.ndarray, scale, ufunc):
     for an (N + 1, C, E) block of powers whose row N is zero, scale(k) being rank k's
     (N, E) scale.  A running sum per center gains its next shell one step-table row at
     a time, the zero row padding short shells, so each column adds its atoms in distance
-    order from +0.0: a per-center cumulative sum bit for bit, whatever C is, in O(N C E)."""
+    order from +0.0: a per-center cumulative sum bit for bit, whatever C is, in O(N C E).
+    The step table's entries were bounds-checked when it was built, so the gathers use
+    mode "clip", which writes `out` directly; the default mode buffers every call."""
     steps, widths = space.balls.step_table
     n, (c, e) = space.n, powers.shape[1:]
     flat = powers.reshape(n + 1, c * e)
@@ -324,7 +326,7 @@ def _ball_peaks(space: DiscreteHomSpace, powers: np.ndarray, scale, ufunc):
     t = 0
     for k, width in enumerate(widths):
         for s in range(t, t + width):
-            flat.take(steps[s], axis=0, out=tmp)
+            flat.take(steps[s], axis=0, out=tmp, mode="clip")
             run += tmp
         t += width
         scaled = tmp.reshape(n, c, e)
@@ -488,6 +490,12 @@ def _grand_grid(params: GrandParams, s: float):
     return grid, pe, np.maximum(params.lam - params.A(grid), 0.0), params.phi(grid) ** (1.0 / pe)
 
 
+def _scale_exponents(lam_eff: np.ndarray) -> np.ndarray:
+    """-lam_eff per grid point, or its one entry when lam_eff is constant: the
+    sweep broadcasts a one-column scale over eps, the same powers in 1/E the work."""
+    return -(lam_eff[:1] if np.all(lam_eff == lam_eff[0]) else lam_eff)
+
+
 def phi_functional_detail(space: DiscreteHomSpace, f, params: GrandParams,
                           s: float) -> NormResult:
     """phi_functional and its first maximising eps, then center, then rank: one shell
@@ -495,14 +503,14 @@ def phi_functional_detail(space: DiscreteHomSpace, f, params: GrandParams,
     if not (0 < s <= params.smax * (1 + 1e-12)):
         raise ValueError("need 0 < s <= s_max")
     grid, pe, lam_eff, phi_pow = _grand_grid(params, s)
-    bf = space.balls
+    bf, neg = space.balls, _scale_exponents(lam_eff)
     peak, powers = _grand_peaks(space, as_values(space, f)[None], pe,
-                                lambda k: bf.measures[:, k, None] ** -lam_eff)
+                                lambda k: bf.measures[:, k, None] ** neg)
     vals = phi_pow * peak[:, 0].max(axis=0) ** (1.0 / pe)
     e = int(np.argmax(vals))
     c = int(np.argmax(peak[:, 0, e]))
     row = np.cumsum(powers[bf.order[c], 0, e])[bf.counts[c] - 1] \
-        * (bf.measures[c, :, None] ** -lam_eff)[:, e]
+        * (bf.measures[c, :, None] ** neg)[:, min(e, neg.size - 1)]
     return NormResult(float(vals[e]), eps=float(grid[e]), center=c, rank=int(np.argmax(row)))
 
 
@@ -528,15 +536,18 @@ class GrandNormEvaluator:
     an (M,) array.  A single input is a stack of one; there is one path.
 
     Precomputes mu(B)^(-lam_eff) per (center, rank, eps) in `mu_pow`,
-    stored rank-major so the (N, E) slice of one rank is contiguous, and
-    reads the ball family's step table (`steps`, `widths`).  Inputs are
-    swept by `_grand_peaks`, as in grand_morrey_norm, in column blocks of C
-    inputs, C sized so the sweep's arrays fit `_BLOCK_BYTES`; the grand
-    norm of one input equals grand_morrey_norm bit for bit.
+    stored rank-major so the (N, E) slice of one rank is contiguous; when
+    lam_eff is the same at every grid point it holds one column, (N, R, 1),
+    which the sweep broadcasts over eps.  Inputs are swept by `_grand_peaks`,
+    as in grand_morrey_norm, in column blocks of C inputs, C sized so the
+    sweep's arrays fit `_BLOCK_BYTES`; the grand norm of one input equals
+    grand_morrey_norm bit for bit.
 
-    Results are memoised per input row for the instance's lifetime.  The
-    memo is the only state calls share and its get and set are atomic, so
-    threads may share an instance (two may compute one new input twice).
+    Results are memoised per input row in the space's ball family, keyed by
+    (p - eps, lam_eff), so every evaluator of the space with those exponents
+    shares them, and the memo lives as long as the space.  The memo is the
+    only state calls share and its get and set are atomic, so threads may
+    share it (two may compute one new input twice).
     """
 
     def __init__(self, space: DiscreteHomSpace, params: GrandParams):
@@ -544,13 +555,13 @@ class GrandNormEvaluator:
         self.params = params
         bf = space.balls
         self.grid, self.pe, lam_eff, self.phi_pow = _grand_grid(params, params.smax)
-        # mu^(-lam_eff) indexed (N, R, E), stored (R, N, E)
+        # mu^(-lam_eff) indexed (N, R, E), stored (R, N, E), E = 1 for a constant lam_eff
         self.mu_pow = (np.ascontiguousarray(bf.measures.T)[:, :, None]
-                       ** -lam_eff).transpose(1, 0, 2)
-        self.steps, self.widths = bf.step_table
+                       ** _scale_exponents(lam_eff)).transpose(1, 0, 2)
         # inputs per column block: powers, run, tmp and peak are (N, C E) each
         self.columns = max(1, _BLOCK_BYTES // (4 * 8 * space.n * self.pe.size))
-        self._memo: dict[bytes, np.ndarray] = {}
+        self._memo: dict[bytes, np.ndarray] = bf.memo.setdefault(
+            ("grand", self.pe.tobytes(), lam_eff.tobytes()), {})
 
     def morrey_vector(self, f) -> np.ndarray:
         """Per-grid-point Morrey norms ||f||_{p-eps, lam-A(eps)}: shape (E,)

@@ -199,11 +199,13 @@ class BallFamily:
     points by distance from center c (stable sort, deterministic);
     the ball at (c, k) is the first `counts[c, k]` entries of that order.
     It keeps the space's `dist` and `weight`, not the space, so the cached
-    family forms no reference cycle and is freed with its space.
+    family forms no reference cycle and is freed with its space.  `memo`
+    holds the norm layers' per-space result memos, one entry per kind of
+    result, so they too live exactly as long as the space.
     """
 
     __slots__ = ("dist", "weight", "order", "sorted_dist", "radii", "counts",
-                 "measures", "n_ranks", "_open_mu", "_steps")
+                 "measures", "n_ranks", "memo", "_open_mu", "_steps")
 
     def __init__(self, dist, weight, order, sorted_dist, radii, counts, measures,
                  n_ranks):
@@ -215,6 +217,7 @@ class BallFamily:
         self.counts = counts
         self.measures = measures
         self.n_ranks = n_ranks
+        self.memo: dict = {}
         self._open_mu = None
         self._steps = None
 
@@ -267,7 +270,9 @@ class BallFamily:
     def step_table(self) -> tuple[np.ndarray, list[int]]:
         """(steps, widths) of a shell sweep, built once: rank k adds each
         center's shell of equidistant atoms in widths[k] steps, and row s of
-        the int32 `steps` holds the atom each center gains, or N if none."""
+        the int32 `steps` holds the atom each center gains, or N if none.
+        Every entry is checked to lie in [0, N] here, once, so sweeps may
+        gather with `take(..., mode="clip")`, which skips the per-call check."""
         if self._steps is None:
             n = self.order.shape[0]
             # the step of a distance position is its rank's first plus its offset
@@ -277,6 +282,8 @@ class BallFamily:
             step = np.repeat(offset.ravel(), sizes.ravel()).reshape(n, n) + np.arange(n)
             table = np.full((n, int(widths.sum())), n, dtype=np.int32)
             np.put_along_axis(table, step, self.order, axis=1)
+            if not 0 <= table.min() <= table.max() <= n:
+                raise ValueError(f"step table entries outside [0, {n}]")
             steps = np.ascontiguousarray(table.T)
             steps.setflags(write=False)
             self._steps = (steps, widths.tolist())

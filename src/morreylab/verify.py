@@ -307,6 +307,17 @@ def reduction_transfer_check(space: DiscreteHomSpace, U: Callable, Lam: Callable
         details={"sigma": sigma, "eps_grid_below_sigma": eps_used.tolist()})
 
 
+def _bmo_means(space: DiscreteHomSpace, bs: np.ndarray) -> np.ndarray:
+    """The "mean" BMO norm of each row of bs, memoised by content in the space's
+    ball family: every check of one space computes each b's norm once."""
+    memo = space.balls.memo.setdefault("bmo_mean", {})
+    keys = [b.tobytes() for b in bs]
+    for key, b in zip(keys, bs):
+        if key not in memo:
+            memo[key] = bmo_norm(space, b, "mean")
+    return np.array([memo[key] for key in keys])
+
+
 def norm_ratios(norm_num: Callable, norm_den: Callable, fs: np.ndarray,
                 gs: np.ndarray, nbs) -> np.ndarray:
     """Per pair, norm_num(g) / (nbs norm_den(f)): gs is the pairs' output stack,
@@ -345,7 +356,7 @@ def commutator_suite(space: DiscreteHomSpace, kind: str, f_samples, b_samples,
         raise AllSamplesDegenerate("empty corpus")
     fs, bs = _stack(space, rows_f), _stack(space, rows_b)
     pairs = np.arange(len(fs)) % len(bs)
-    nbs = np.array([bmo_norm(space, b, "mean") for b in rows_b])[pairs]
+    nbs = _bmo_means(space, bs)[pairs]
     live = np.flatnonzero(nbs > 0)  # pairs with a constant b have no pointwise bound
 
     if kind == "cz":
@@ -590,11 +601,6 @@ def build_calibrated_checks(space: DiscreteHomSpace, *, p: float = 2.0,
 
     ev, ev_in, ev_out = (lambda f, b=b: evaluator(b)(f) for b in bundles)
 
-    @functools.cache
-    def bmo_of(b: bytes) -> float:
-        # keyed by content: the frozen and fresh passes of every check share it
-        return bmo_norm(space, np.frombuffer(b), "mean")
-
     # norms and operators take an (M, N) stack; operators still apply one
     # row at a time inside, so their summation order is unchanged
     def plain_ratios(op, norm_num, norm_den):
@@ -605,7 +611,7 @@ def build_calibrated_checks(space: DiscreteHomSpace, *, p: float = 2.0,
     def pair_ratios(op, norm_num, norm_den, post=lambda g: g):
         def run(fc: Corpus, bc: Corpus | None) -> np.ndarray:
             pairs = np.arange(len(fc)) % len(bc)
-            nbs = np.array([bmo_of(b.tobytes()) for b in bc])[pairs]
+            nbs = _bmo_means(space, bc.samples)[pairs]
             gs = post(commutator(bc.samples[pairs], op, fc.samples))
             return norm_ratios(norm_num, norm_den, fc.samples, gs, nbs)
         return run

@@ -102,6 +102,30 @@ class TestEtaIdentity:
         assert eta_identity_residual(eps, exps) <= 1e-12
 
 
+class TestEtaIdentityTableCalls:
+    """eta_identity_residual evaluates A2 once at eps (and once at eps^theta1
+    for the psi guards), and its residuals are those of the formula."""
+
+    @pytest.mark.parametrize("theta1", [1.0, 1.7])
+    def test_a2_evaluated_once_at_eps(self, monkeypatch, theta1):
+        exps = AuxExponents.derive(2.0, 0.25, 0.25, theta1=theta1,
+                                   a2=TabulatedFunction.linear(0.05, A2_KNOTS), delta=0.5)
+        seen, real = [], TabulatedFunction.__call__
+
+        def recording(table, x):
+            if table is exps.a2:
+                seen.append(x)
+            return real(table, x)
+
+        monkeypatch.setattr(TabulatedFunction, "__call__", recording)
+        eps = 0.3
+        r = eta_identity_residual(eps, exps)
+        assert seen == [eps, eps ** theta1]
+        eta = eval_aux(eps, exps).phibar
+        assert r == abs(1.0 / (2.0 - eta) - 1.0 / (exps.q - eps)
+                        - 0.25 / (0.75 + real(exps.a2, eps)))
+
+
 class TestAuxExponents:
     def test_derive_solves_exponent_identity(self):
         exps = AuxExponents.derive(2.0, 0.25, 0.25, theta1=1.0)

@@ -1,5 +1,7 @@
+import gc
 import math
 import tracemalloc
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -16,10 +18,11 @@ from morreylab.funcnorm import (EmptyGrid, GrandNormEvaluator, GrandParams,
                                 morrey_norm, morrey_norm_detail, phi_functional,
                                 phi_functional_detail, s_max)
 from morreylab.homspace import build_from_table, build_uniform_grid
+from morreylab.operators import maximal
 
 from conftest import (REFERENCE_SPACES, STACK_SPACES, block_edge_stacks, random_cloud,
-                      reference_morrey_detail, reference_phi_functional, relabeled,
-                      sweep_columns, tie_heavy_samples)
+                      reference_maximal, reference_morrey_detail, reference_phi_functional,
+                      relabeled, sweep_columns, tie_heavy_samples)
 
 
 def reference_lp_norm(space, f, p):
@@ -233,11 +236,20 @@ class TestMorreyKernel:
         sp = build_uniform_grid(40, 1, "circle")
         table = sp.balls.step_table
         morrey_norm(sp, np.ones(40), 2.0, 0.25)
-        evs = [GrandNormEvaluator(sp, GrandParams.power(p, 0.25, 1.0, max_points=6))
-               for p in (2.0, 3.0)]
+        for p in (2.0, 3.0):
+            GrandNormEvaluator(sp, GrandParams.power(p, 0.25, 1.0, max_points=6))(np.ones(40))
         assert sp.balls.step_table is table
-        assert all(ev.steps is table[0] and ev.widths is table[1] for ev in evs)
         assert not table[0].flags.writeable
+
+    @pytest.mark.parametrize("entry", [-1, 41, 10**6])
+    def test_out_of_range_step_entry_raises(self, entry):
+        bf = build_uniform_grid(40, 1, "circle").balls
+        order = bf.order.copy()
+        order[3, 7] = entry  # the step table puts order's entries in place
+        bad = type(bf)(bf.dist, bf.weight, order, bf.sorted_dist, bf.radii, bf.counts,
+                       bf.measures, bf.n_ranks)
+        with pytest.raises(ValueError, match=r"outside \[0, 40\]"):
+            bad.step_table
 
     @pytest.mark.parametrize("bad", [
         np.zeros((3, 31)), np.zeros(31), np.zeros((2, 2, 32)),
@@ -605,8 +617,8 @@ def unblocked_morrey_vector(ev, f):
         * ev.space.weight[:, None]
     cs = np.cumsum(np.take(powers, bf.order, axis=0), axis=1)
     flat_ends = (np.arange(n)[:, None] * n + bf.counts - 1).ravel()
-    sums = np.take(cs.reshape(-1, e), flat_ends, axis=0).reshape(ev.mu_pow.shape)
-    sums *= ev.mu_pow
+    sums = np.take(cs.reshape(-1, e), flat_ends, axis=0).reshape(n, -1, e)
+    sums *= ev.mu_pow  # (N, R, E), or (N, R, 1) for a constant lam_eff
     return sums.max(axis=(0, 1)) ** (1.0 / ev.pe)
 
 
@@ -634,7 +646,7 @@ class TestGrandNormEvaluator:
     def test_bit_identical_with_uneven_shells(self, make):
         sp = make()
         ev = self.evaluator(sp)
-        assert np.any(ev.steps == sp.n)  # some centers add the zero row
+        assert np.any(sp.balls.step_table[0] == sp.n)  # some centers add the zero row
         rng = np.random.default_rng(22)
         samples = [rng.normal(size=sp.n) * rng.exponential(size=sp.n),
                    *tie_heavy_samples(sp.n, 23), np.zeros(sp.n)]
@@ -670,6 +682,7 @@ class TestGrandNormEvaluator:
         sp = build_uniform_grid(256, 1, "circle")
         ev = self.evaluator(sp)
         f = np.random.default_rng(25).normal(size=sp.n)
+        sp.balls.step_table  # built once per space, not per call
         tracemalloc.start()
         try:
             ev.morrey_vector(f)
@@ -711,8 +724,9 @@ class TestGrandNormEvaluator:
             for f, row in zip(fs, got):
                 assert np.array_equal(row, unblocked_morrey_vector(ev, f))
 
-    def test_duplicates_and_memo_hits_in_one_stack(self, circle32):
-        ev = self.evaluator(circle32)
+    def test_duplicates_and_memo_hits_in_one_stack(self):
+        # a space of its own: the memo is shared by every evaluator of a space
+        ev = self.evaluator(build_uniform_grid(32, 1, "circle"))
         fs = np.random.default_rng(28).normal(size=(5, 32))
         ev.morrey_vector(fs[:2])
         stack = fs[[0, 2, 2, 1, 3, 0, 4, 4]]  # hits, misses and repeats
@@ -748,6 +762,7 @@ class TestGrandNormEvaluator:
         sp = build_uniform_grid(256, 1, "circle")
         ev = self.evaluator(sp)
         fs = np.random.default_rng(30).normal(size=(64, sp.n))
+        sp.balls.step_table  # built once per space, not per call
         tracemalloc.start()
         try:
             out = ev.morrey_vector(fs)
@@ -777,6 +792,121 @@ class TestGrandNormEvaluator:
         vf, vg = ev.morrey_vector(f), ev.morrey_vector(g)
         assert np.array_equal(vg, unblocked_morrey_vector(ev, g))
         assert not np.array_equal(vf, vg)
+
+
+# one bundle whose lam_eff varies over the grid and one whose lam_eff is constant (A = 0)
+SWEEP_BUNDLES = {
+    "varying": lambda: GrandParams.power(
+        2.0, 0.25, 1.0, A=TabulatedFunction.linear(0.5, np.linspace(0.0, 1.0, 33)[1:]),
+        max_points=16, ratio=0.7),
+    "constant": lambda: GrandParams.power(2.0, 0.25, 1.0, max_points=16, ratio=0.7),
+}
+
+
+def full_width_evaluator(sp, gp):
+    """An evaluator of gp with a (N, R, E) table of mu^(-lam_eff), whatever
+    lam_eff is, and a memo of its own."""
+    ev = GrandNormEvaluator(sp, gp)
+    lam_eff = np.maximum(gp.lam - gp.A(ev.grid), 0.0)
+    ev.mu_pow = (np.ascontiguousarray(sp.balls.measures.T)[:, :, None]
+                 ** -lam_eff).transpose(1, 0, 2)
+    ev._memo = {}
+    return ev
+
+
+def counting_sweeps(monkeypatch):
+    """Wrap funcnorm._grand_peaks; the returned list gains each swept row."""
+    swept, real = [], funcnorm._grand_peaks
+
+    def counting(space, rows, *args):
+        swept.extend(r.tobytes() for r in rows)
+        return real(space, rows, *args)
+
+    monkeypatch.setattr(funcnorm, "_grand_peaks", counting)
+    return swept
+
+
+class TestGrandSweep:
+    """The shell sweep's one-column scale for a constant lam_eff, and its
+    per-space memo."""
+
+    @pytest.mark.parametrize("bundle", SWEEP_BUNDLES, ids=SWEEP_BUNDLES.keys())
+    @pytest.mark.parametrize("make", STACK_SPACES.values(), ids=STACK_SPACES.keys())
+    def test_sweeps_match_the_references(self, make, bundle):
+        sp = make()
+        ev = GrandNormEvaluator(sp, SWEEP_BUNDLES[bundle]())
+        rng = np.random.default_rng(50)
+        fs = rng.normal(size=(2 * ev.columns + 1, sp.n)) * rng.exponential(size=sp.n)
+        fs[1::3] = rng.integers(-2, 3, size=fs[1::3].shape)  # ties and zeros
+        for f, row in zip(fs, ev.morrey_vector(fs)):
+            assert np.array_equal(row, unblocked_morrey_vector(ev, f))
+        for f, value, mf in zip(fs, morrey_norm(sp, fs, 1.5, 0.25), maximal(sp, fs)):
+            assert value == reference_morrey_detail(sp, f, 1.5, 0.25)[0]
+            assert np.array_equal(mf, reference_maximal(sp, f))
+
+    @pytest.mark.parametrize("make", STACK_SPACES.values(), ids=STACK_SPACES.keys())
+    def test_constant_lam_eff_keeps_one_scale_column(self, make):
+        sp = make()
+        gp = SWEEP_BUNDLES["constant"]()
+        ev, full = GrandNormEvaluator(sp, gp), full_width_evaluator(sp, gp)
+        n, r = sp.balls.measures.shape
+        assert ev.mu_pow.shape == (n, r, 1) and full.mu_pow.shape == (n, r, ev.pe.size)
+        assert ev.mu_pow.transpose(1, 0, 2).flags.c_contiguous  # stored (R, N, 1)
+        rng = np.random.default_rng(51)
+        fs = rng.normal(size=(5, sp.n)) * rng.exponential(size=(5, sp.n))
+        fs[1] = rng.integers(-2, 3, size=sp.n)
+        assert np.array_equal(ev.morrey_vector(fs), full.morrey_vector(fs))
+        f = fs[0]
+        assert grand_morrey_norm(sp, f, gp) == ev(f) == full(f)
+        varying = GrandNormEvaluator(sp, SWEEP_BUNDLES["varying"]())
+        assert varying.mu_pow.shape == (n, r, varying.pe.size)
+
+    def test_equal_exponents_share_one_sweep(self, monkeypatch):
+        sp = build_uniform_grid(48, 1, "circle")
+        a = TabulatedFunction.linear(0.5, np.linspace(0.0, 1.0, 33)[1:])
+        gp1, gp2 = (GrandParams.power(2.0, 0.25, theta, A=a, max_points=8, ratio=0.7)
+                    for theta in (1.0, 2.0))  # same p - eps and lam_eff, other phi
+        swept = counting_sweeps(monkeypatch)
+        fs = np.random.default_rng(52).normal(size=(6, sp.n))
+        ev1, ev2 = GrandNormEvaluator(sp, gp1), GrandNormEvaluator(sp, gp2)
+        first = ev1.morrey_vector(fs[:4])
+        second = ev2.morrey_vector(fs)
+        assert ev2._memo is ev1._memo
+        assert sorted(swept) == sorted(f.tobytes() for f in fs)  # each input once
+        assert np.array_equal(second[:4], first)
+        assert not np.array_equal(ev1.weighted_vector(fs), ev2.weighted_vector(fs))
+        for f, row in zip(fs, second):
+            assert np.array_equal(row, unblocked_morrey_vector(ev1, f))
+
+    def test_other_exponents_or_spaces_share_nothing(self, monkeypatch):
+        sp = build_uniform_grid(48, 1, "circle")
+        a = TabulatedFunction.linear(0.5, np.linspace(0.0, 1.0, 33)[1:])
+        base = GrandParams.power(2.0, 0.25, 1.0, A=a, max_points=8, ratio=0.7)
+        other_a = GrandParams.tabulated(2.0, 0.25, base.phi, TabulatedFunction.linear(
+            0.4, np.linspace(0.0, 1.0, 33)[1:]), base.eps_grid)
+        other_lam = GrandParams.tabulated(2.0, 0.3, base.phi, a, base.eps_grid)
+        other_p = GrandParams.tabulated(2.5, 0.25, base.phi, a, base.eps_grid)
+        swept = counting_sweeps(monkeypatch)
+        f = np.random.default_rng(53).normal(size=sp.n)
+        evs = [GrandNormEvaluator(s, gp) for s, gp in (
+            (sp, base), (sp, other_a), (sp, other_lam), (sp, other_p),
+            (build_uniform_grid(48, 1, "circle"), base))]  # an equal but separate space
+        vectors = [ev.morrey_vector(f) for ev in evs]
+        assert len(swept) == len(evs)
+        assert len({id(ev._memo) for ev in evs}) == len(evs)
+        assert np.array_equal(vectors[-1], vectors[0])
+        for ev, v in zip(evs, vectors):
+            assert np.array_equal(v, unblocked_morrey_vector(ev, f))
+
+    def test_memo_is_freed_with_its_space(self):
+        sp = build_uniform_grid(32, 1, "circle")
+        ev = GrandNormEvaluator(sp, SWEEP_BUNDLES["varying"]())
+        ev.morrey_vector(np.random.default_rng(54).normal(size=32))
+        (stored,) = ev._memo.values()
+        ref = weakref.ref(stored)
+        del ev, sp, stored
+        gc.collect()
+        assert ref() is None
 
 
 class TestNormAxioms:

@@ -218,6 +218,26 @@ class TestCommutatorSuite:
         assert math.isfinite(rep.empirical["pointwise_C"])
         assert rep.empirical["pointwise_C"] > 0
 
+    def test_bmo_norms_computed_once_per_space(self, monkeypatch):
+        sp = build_uniform_grid(32, 1, "circle")
+        calls, real = [], verify.bmo_norm
+        monkeypatch.setattr(verify, "bmo_norm",
+                            lambda space, b, *a: calls.append(b.tobytes()) or real(space, b, *a))
+        fc, bc = small_corpus(sp, 8, 5), make_corpus(sp, "bmo", 4, 6)
+        checks = build_calibrated_checks(sp, n_eps=6)
+        checks["cz_commutator_grand"].ratios(fc, bc)
+        checks["potential_commutator_morrey"].ratios(small_corpus(sp, 6, 7), bc)
+        exps, gp_in, gp_out = verify._potential_bundles(2.0, 0.25, 0.25, 1.0, 0.5, 0.05, 6)
+        commutator_suite(sp, "cz", fc.samples, bc.samples, params_in=gp_in,
+                         kernel=conjugate_kernel(sp))
+        commutator_suite(sp, "potential", fc.samples, bc.samples, params_in=gp_in,
+                         params_out=gp_out, exps=exps)
+        assert sorted(calls) == sorted(b.tobytes() for b in bc)
+        other = build_uniform_grid(32, 1, "circle")  # an equal but separate space
+        commutator_suite(other, "cz", fc.samples, bc.samples, params_in=gp_in,
+                         kernel=conjugate_kernel(other))
+        assert len(calls) == 2 * len(bc)
+
 
 class TestFeffermanStein:
     def test_mean_zero_corpus_stable(self):
