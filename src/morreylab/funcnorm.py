@@ -304,11 +304,11 @@ def morrey_norm(space: DiscreteHomSpace, f, p: float, lam: float):
     return float(out[0]) if single else out
 
 
-# work buffers of one oscillation-kernel chunk and of one column block of
-# the shell sweep; the sweep's four (N, C E) arrays stay near it, so C falls
-# to one input at large N, where wider blocks measured slower
+# arrays of one column block of the oscillation kernel and of the shell
+# sweep; the sweep's four (N, C E) arrays stay near it, so C falls to one
+# input at large N, where wider blocks measured slower
 _BLOCK_BYTES = 512 * 1024
-_OSC_RANKS = 16  # radius ranks per chunk of the oscillation kernel
+_OSC_RANKS = 16  # radius ranks per chunk of the weighted-median search
 
 
 def _ball_peaks(space: DiscreteHomSpace, powers: np.ndarray, scale, ufunc):
@@ -359,67 +359,102 @@ def _grand_peaks(space: DiscreteHomSpace, rows: np.ndarray, pe: np.ndarray, scal
     return _ball_peaks(space, powers, scale, np.multiply), powers
 
 
-def _oscillation_table(space: DiscreteHomSpace, f, p: float = 1.0,
-                       center: str = "mean") -> np.ndarray:
-    """(N, R) padded table of (avg_B |f - c_B|^p)^(1/p) over balls centered per row.
+def _ball_medians(fv, wv, ranks, ends, nr, work):
+    """(R, X) lower weighted medians of the balls of X columns: the first value, in
+    increasing order, at which the members' cumulative weight reaches half the
+    ball's measure.  fv and wv are (N, X) values and weights in distance order,
+    ranks their (X, N) value ranks, ends the (R, X) last member positions and nr
+    the non-increasing rank counts.  Ranks go in chunks of up to `_OSC_RANKS`
+    and columns in groups whose (G, K, L) search fits `work`, each searching
+    only as far as its balls reach."""
+    cen = np.zeros(ends.shape)  # ranks past a column's last stay finite
+    chunk = min(_OSC_RANKS, work.size // len(fv))  # one column's search fits
+    for k0 in range(0, int(nr[0]), chunk):
+        k1 = min(k0 + chunk, len(ends))
+        m = int(np.count_nonzero(nr > k0))
+        # padded ranks get a one-atom ball and are never read
+        last = np.where(np.arange(k0, k1) < nr[:m, None], ends[k0:k1, :m].T, 0)
+        group = max(1, work.size // ((k1 - k0) * (int(last.max()) + 1)))
+        for g0 in range(0, m, group):
+            g1 = min(g0 + group, m)
+            lg, g = last[g0:g1], np.arange(g0, g1)[:, None]
+            length = int(lg.max()) + 1
+            near = np.argsort(ranks[g0:g1, :length], axis=1)  # positions in value order
+            cum = work[:near.size * (k1 - k0)].reshape(g1 - g0, k1 - k0, length)
+            np.multiply(near[:, None, :] <= lg[:, :, None], wv[near, g][:, None, :], out=cum)
+            np.cumsum(cum, axis=2, out=cum)
+            half = np.argmax(cum >= 0.5 * cum[:, :, -1:], axis=2)  # cum does not fall
+            cen[k0:k1, g0:g1] = fv[np.take_along_axis(near, half, axis=1), g].T
+    return cen
 
-    c_B is the ball mean, or for center "median" the lower weighted median:
-    the first value, in increasing order, at which the members' cumulative
-    weight reaches half the ball's measure.  Centers are processed in blocks
-    and ranks in chunks whose (B, K, N) buffer fits a fixed byte budget;
-    each chunk's median search and deviation cumsum stop at the farthest
-    member its balls reach, and ranks past a center's last radius repeat
-    its last value.
+
+def _oscillation_peaks(space: DiscreteHomSpace, rows: np.ndarray, p: float = 1.0,
+                       center: str = "mean") -> np.ndarray:
+    """(M, N) peaks over radius ranks of (avg_B |f - c_B|^p)^(1/p), per input row and
+    center, c_B being the ball mean or, for center "median", its lower weighted median.
+
+    A block's X columns are (center, input) pairs, center-major, centers with more
+    radii first, so the columns that have a rank are a prefix.  The block's (R, X)
+    ball centres come first.  Then each rank writes |f - c_B|^p w into one contiguous
+    (L, X) buffer, L reaching the farthest member, zeroes the rows past each ball by
+    assignment and sums down axis 0: a running sum per column, atom by atom in
+    distance order, so the bits of a per-center cumulative sum read at the ball's
+    end.  Rows are at least two wide; a one-wide sum would run pairwise.
     """
-    bf = space.balls
-    v = as_values(space, f)
-    w = space.weight
-    n, rmax = bf.measures.shape
-    chunk = min(rmax, _OSC_RANKS)
-    block = max(1, min(n, _BLOCK_BYTES // (8 * chunk * n)))
-    work = np.empty(block * chunk * n)
-    value_rank = np.argsort(np.argsort(v, kind="stable"))  # ties by atom index
-    # centers with more radii first, so the live rows of a block are a prefix
+    bf, w = space.balls, space.weight
+    n, rmax, pairs = space.n, bf.measures.shape[1], len(rows) * space.n
+    # per column: values, weights and the work buffer (N rows each); ends,
+    # measures and centres, which become the sums (R rows each); value ranks
+    per_column = 8 * (3 * n + 3 * rmax + (center != "mean") * n)
+    columns = max(2, _BLOCK_BYTES // per_column)
+    if center != "mean":
+        value_rank = np.argsort(np.argsort(rows, axis=1, kind="stable"), axis=1)
     seq = np.argsort(-bf.n_ranks, kind="stable")
-    out = np.empty((n, rmax))
-    for c0 in range(0, n, block):
-        rows = seq[c0:c0 + block]
-        idx = bf.order[rows]
-        fv, wv, nr = v[idx], w[idx], bf.n_ranks[rows]
-        counts, mu = bf.counts[rows], bf.measures[rows]
-        if center == "mean":
-            means = np.take_along_axis(np.cumsum(fv * wv, axis=1), counts - 1, axis=1) / mu
+    out = np.empty((len(rows), n))
+    width = min(columns, max(pairs, 2))
+    # the budget less a block's other arrays: deviations, or a median search
+    work = np.empty(max(n * width, (_BLOCK_BYTES - width * per_column) // 8 + n * width))
+    for j0 in range(0, pairs, columns):
+        j = np.arange(j0, min(j0 + columns, pairs))
+        if len(j) == 1:  # a lone pair is repeated
+            j = np.repeat(j, 2)
+        cs, ins = seq[j // len(rows)], j % len(rows)
+        nr, r = bf.n_ranks[cs], int(bf.n_ranks[cs[0]])
+        idx = np.ascontiguousarray(bf.order[cs].T)
+        fv, wv = rows[ins, idx], w[idx]
+        ranks = value_rank[ins, idx].T if center != "mean" else None
+        del idx
+        ends = np.ascontiguousarray(bf.counts[cs, :r].T)
+        ends -= 1
+        mu = np.ascontiguousarray(bf.measures[cs, :r].T)
+        if center == "mean":  # running sums of f w down axis 0
+            cw = np.multiply(fv, wv, out=work[:fv.size].reshape(fv.shape))
+            np.cumsum(cw, axis=0, out=cw)
+            cen = np.take_along_axis(cw, ends, axis=0)
+            cen /= mu
         else:
-            ranks = value_rank[idx]
-        for k0 in range(0, int(nr[0]), chunk):
-            k1 = min(k0 + chunk, rmax)
-            m = int(np.count_nonzero(nr > k0))
-            # padded ranks get a one-atom ball and are overwritten below
-            ends = np.where(np.arange(k0, k1) < nr[:m, None], counts[:m, k0:k1] - 1, 0)
-            length = int(ends.max()) + 1
-            if center == "mean":
-                cen = means[:m, k0:k1]
-            else:  # distance positions of the chunk's reach, listed in value order
-                near = np.argsort(ranks[:m, :length], axis=1)
-                cum = work[:m * (k1 - k0) * length].reshape(m, k1 - k0, length)
-                np.multiply(near[:, None, :] <= ends[:, :, None],
-                            np.take_along_axis(wv[:m, :length], near, axis=1)[:, None, :], out=cum)
-                np.cumsum(cum, axis=2, out=cum)
-                half = (cum < 0.5 * cum[:, :, -1:]).sum(axis=2)
-                cen = np.take_along_axis(fv[:m], np.take_along_axis(near, half, axis=1), axis=1)
-            dev = work[:m * (k1 - k0) * length].reshape(m, k1 - k0, length)
-            np.subtract(fv[:m, None, :length], cen[:, :, None], out=dev)
+            cen = _ball_medians(fv, wv, ranks, ends, nr, work)
+        live = np.searchsorted(-nr, -np.arange(r))  # columns with rank k
+        inside = np.arange(len(j)) < live[:, None]
+        lo = np.min(ends, axis=1, where=inside, initial=n) + 1
+        hi = np.max(ends, axis=1, where=inside, initial=-1) + 1
+        # a one-wide sum would run pairwise: a lone live column brings the next
+        for k, (x, a, b) in enumerate(zip(np.maximum(live, 2).tolist(), lo.tolist(), hi.tolist())):
+            dev = work[:b * x].reshape(b, x)
+            np.subtract(fv[:b, :x], cen[k, :x], out=dev)
             np.abs(dev, out=dev)
             if p != 1.0:
                 dev **= p
-            dev *= wv[:m, None, :length]
-            np.cumsum(dev, axis=2, out=dev)
-            osc = np.take_along_axis(dev, ends[:, :, None], axis=2)[:, :, 0] / mu[:m, k0:k1]
-            if p != 1.0:
-                osc **= 1.0 / p
-            out[rows[:m], k0:k1] = osc
-    last = out[np.arange(n), bf.n_ranks - 1][:, None]
-    return np.where(np.arange(rmax) < bf.n_ranks[:, None], out, last)
+            dev *= wv[:b, :x]
+            if a < b:  # zero, not mask: inf * 0 is NaN
+                np.copyto(dev[a:], 0.0, where=np.arange(a, b)[:, None] > ends[k, :x])
+            np.add.reduce(dev, axis=0, out=cen[k, :x])  # rank k's centres are spent
+        np.copyto(cen, 0.0, where=np.arange(len(j)) >= live[:, None])  # ranks a column lacks
+        cen /= mu
+        if p != 1.0:
+            cen **= 1.0 / p
+        out[ins, cs] = cen.max(axis=0)
+    return out
 
 
 def bmo_norm(space: DiscreteHomSpace, b, variant: str = "mean",
@@ -442,8 +477,8 @@ def bmo_norm(space: DiscreteHomSpace, b, variant: str = "mean",
     if np.ptp(v) == 0:
         return 0.0
     if variant == "jn":
-        return float(_oscillation_table(space, v, p).max())
-    return float(_oscillation_table(space, v, 1.0,
+        return float(_oscillation_peaks(space, v[None], p).max())
+    return float(_oscillation_peaks(space, v[None], 1.0,
                                     "median" if variant == "inf" else "mean").max())
 
 

@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .funcnorm import TabulatedFunction, _as_rows, _center_peaks, _oscillation_table, as_values
+from .funcnorm import TabulatedFunction, _as_rows, _center_peaks, _oscillation_peaks, as_values
 from .homspace import DiscreteHomSpace
 
 __all__ = [
@@ -70,8 +70,11 @@ def maximal_s(space: DiscreteHomSpace, f, s: float) -> np.ndarray:
 
 
 def sharp_maximal(space: DiscreteHomSpace, f) -> np.ndarray:
-    """f#(x): max over balls centered at x of avg_B |f - f_B|."""
-    return _oscillation_table(space, f).max(axis=1)
+    """f#(x): max over balls centered at x of avg_B |f - f_B|, for one input (N,)
+    or per row of a stack (M, N)."""
+    rows, single = _as_rows(space, f)
+    out = _oscillation_peaks(space, rows)
+    return out[0] if single else out
 
 
 @dataclass(frozen=True)

@@ -368,11 +368,9 @@ def commutator_suite(space: DiscreteHomSpace, kind: str, f_samples, b_samples,
         point = np.zeros(len(fs))
         gs = commutator(bs[pairs], op, fs)
         dens = nbs[live, None] * (maximal_s(space, op(fs[live]), s) + maximal_s(space, fs[live], s))
-        for i, den in zip(live, dens):
-            num = sharp_maximal(space, gs[i])
-            ok = den > 1e-14 * np.abs(num)  # a ratio above 1e14 counts as 0/0
-            if ok.any():
-                point[i] = float((num[ok] / den[ok]).max())
+        nums = sharp_maximal(space, gs[live])
+        ok = dens > 1e-14 * np.abs(nums)  # a ratio above 1e14 counts as 0/0
+        point[live] = np.divide(nums, dens, out=np.zeros_like(nums), where=ok).max(axis=1)
         grand = norm_ratios(ev_out, ev, fs, gs, nbs)
         p_half, p_full = _half_and_full(point, 0.0)
         g_half, g_full = _half_and_full(grand, np.nan)
@@ -457,7 +455,7 @@ def fefferman_stein_check(space: DiscreteHomSpace, p: float, lam: float,
     """
     w, mu = space.weight, space.total_measure
     f0s = _stack(space, [f - float(f @ w) / mu for f in samples])
-    den = morrey_norm(space, _stack(space, [sharp_maximal(space, f0) for f0 in f0s]), p, lam)
+    den = morrey_norm(space, sharp_maximal(space, f0s), p, lam)
     num = morrey_norm(space, maximal(space, f0s), p, lam)
     ratios = np.divide(num, den, out=np.full(len(f0s), np.nan), where=den > 0)
     half, full = _half_and_full(ratios, 0.0)

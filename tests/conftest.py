@@ -106,6 +106,14 @@ def sweep_columns(n):
     return max(1, funcnorm._BLOCK_BYTES // (4 * 8 * n))
 
 
+def oscillation_columns(space):
+    """Inputs per block of the oscillation kernel, at least one: its block of
+    (center, input) columns, whose three (N, X) and three (R, X) arrays fit
+    the byte budget, over the N columns of one input."""
+    n, rmax = space.n, space.balls.measures.shape[1]
+    return max(1, max(2, funcnorm._BLOCK_BYTES // (8 * (3 * n + 3 * rmax))) // n)
+
+
 def block_edge_stacks(n, columns, seed):
     """Stacks of 0, 1, C - 1, C, C + 1 and 2C + 3 rows: random rows, rows
     of small integers (value ties and zeros), an all-zero row and a

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from morreylab import funcnorm
 from morreylab.funcnorm import (EmptyGrid, GrandNormEvaluator, GrandParams,
                                 GridFunction, NormResult, TabulatedFunction,
-                                _oscillation_table, bmo_norm, default_eps_grid,
+                                _oscillation_peaks, bmo_norm, default_eps_grid,
                                 grand_lebesgue_norm, grand_lebesgue_norm_detail,
                                 grand_morrey_norm, grand_morrey_norm_detail, lp_norm,
                                 morrey_norm, morrey_norm_detail, phi_functional,
@@ -379,12 +379,59 @@ class TestOscillationKernel:
         for _ in range(2):
             f = rng.normal(size=sp.n) * rng.exponential(size=sp.n) + offset
             ref = reference_oscillation_table(sp, f)
-            assert np.array_equal(_oscillation_table(sp, f), ref)
+            assert np.array_equal(_oscillation_peaks(sp, f[None])[0], ref.max(axis=1))
             assert bmo_norm(sp, f, "mean") == ref.max()
             for p in (1.5, 2, 3):
                 ref = reference_oscillation_table(sp, f, p)
-                assert np.array_equal(_oscillation_table(sp, f, p), ref)
+                assert np.array_equal(_oscillation_peaks(sp, f[None], p)[0], ref.max(axis=1))
                 assert bmo_norm(sp, f, "jn", p=p) == ref.max()
+
+    @pytest.mark.parametrize("name", ["cloud40", "grid2d-ties", "single-atom", "grid2d-weighted"])
+    def test_two_column_blocks(self, name, monkeypatch):
+        # the smallest budget: two (center, input) columns a block, median
+        # searches of two ranks, a block edge after every other column, and
+        # with three rows on 49 atoms a last block of one pair
+        monkeypatch.setattr(funcnorm, "_BLOCK_BYTES", 1)
+        make = STACK_SPACES[name]
+        sp = make()
+        fs = np.random.default_rng(31).normal(size=(3, sp.n))
+        fs[1] = np.round(fs[1])  # value ties
+        peaks = _oscillation_peaks(sp, fs, 3.0)
+        for f, row in zip(fs[:2], peaks):
+            assert np.array_equal(_oscillation_peaks(sp, f[None])[0],
+                                  reference_oscillation_table(sp, f).max(axis=1))
+            assert np.array_equal(row, reference_oscillation_table(sp, f, 3.0).max(axis=1))
+            want = reference_bmo_inf(sp, f)
+            assert abs(bmo_norm(sp, f, "inf") - want) <= 1e-12 * want
+
+    def test_overflow_stays_infinite(self):
+        # |f - c|^3 overflows at the outlier; rows past a ball are zeroed, not
+        # multiplied by 0, where an overflow would become NaN
+        sp = STACK_SPACES["grid2d-weighted"]()
+        f = np.random.default_rng(41).normal(size=sp.n)
+        f[24] = 1e110
+        with np.errstate(over="ignore"):
+            want = reference_oscillation_table(sp, f, 3.0).max(axis=1)
+            assert np.array_equal(_oscillation_peaks(sp, f[None], 3.0)[0], want)
+        assert np.isinf(want).all()
+
+    def test_lone_live_column(self):
+        # one atom of a 32-point circle moved off the lattice is the only
+        # center with 32 radius ranks, so at its last ranks its column is the
+        # only live one of its block; distances in lattice units tie exactly
+        x = np.r_[0.3, np.arange(1.0, 32.0)]
+        gap = np.abs(x[:, None] - x[None, :])
+        sp = build_from_table(np.minimum(gap, 32.0 - gap), np.full(32, 1 / 32))
+        assert np.count_nonzero(sp.balls.n_ranks == sp.balls.n_ranks.max()) == 1
+        rng = np.random.default_rng(37)
+        # growing with the distance from the moved atom, so that its peaks lie
+        # at those last ranks
+        for f in sp.dist[0] ** 2 + rng.normal(size=(3, sp.n)):
+            for p in (1.0, 3.0):
+                assert np.array_equal(_oscillation_peaks(sp, f[None], p)[0],
+                                      reference_oscillation_table(sp, f, p).max(axis=1))
+            want = reference_bmo_inf(sp, f)
+            assert abs(bmo_norm(sp, f, "inf") - want) <= 1e-12 * want
 
     @pytest.mark.parametrize("offset", [0.0, 1e3])
     @pytest.mark.parametrize("make", REFERENCE_SPACES.values(), ids=REFERENCE_SPACES.keys())

@@ -18,9 +18,9 @@ from morreylab.operators import (CZOperator, DiniResult, DivergenceSuspected,
                                  potential_apply, sharp_maximal,
                                  validate_kernel)
 
-from conftest import (REFERENCE_SPACES, STACK_SPACES, block_edge_stacks, random_cloud,
-                      reference_maximal, relabeled, sweep_columns,
-                      tie_heavy_samples)
+from conftest import (REFERENCE_SPACES, STACK_SPACES, block_edge_stacks,
+                      oscillation_columns, random_cloud, reference_maximal, relabeled,
+                      sweep_columns, tie_heavy_samples)
 
 
 def reference_sharp_maximal(space, f):
@@ -209,6 +209,31 @@ class TestSharpMaximal:
         for _ in range(2):
             f = rng.normal(size=sp.n) * rng.exponential(size=sp.n) + offset
             assert np.array_equal(sharp_maximal(sp, f), reference_sharp_maximal(sp, f))
+
+    @pytest.mark.parametrize("make", STACK_SPACES.values(), ids=STACK_SPACES.keys())
+    def test_stacks_bit_identical_at_every_block_edge(self, make):
+        sp = make()
+        assert sharp_maximal(sp, np.zeros((0, sp.n))).shape == (0, sp.n)
+        for fs in block_edge_stacks(sp.n, oscillation_columns(sp), 36):
+            got = sharp_maximal(sp, fs)
+            assert got.shape == fs.shape
+            for f, row in zip(fs, got):
+                assert np.array_equal(row, sharp_maximal(sp, f))
+                assert np.array_equal(row, reference_sharp_maximal(sp, f))
+
+    def test_stack_working_set_is_one_block(self):
+        sp = build_uniform_grid(256, 1, "circle")
+        fs = np.random.default_rng(39).normal(size=(256, sp.n))
+        sharp_maximal(sp, fs[:1])  # the ball family is built outside the trace
+        tracemalloc.start()
+        try:
+            out = sharp_maximal(sp, fs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the output and one block of (center, input) columns; a per-rank
+        # (M, N, R) table of this stack would take 68 MB
+        assert peak <= 2 * funcnorm._BLOCK_BYTES + 2 * out.nbytes, peak
 
     @settings(max_examples=25, deadline=None)
     @given(st.sampled_from([(5, "grid2d"), (20, "cloud")]),

@@ -699,6 +699,27 @@ class TestStackedCallSites:
         assert (rep.empirical["C_emp"], rep.empirical["C_half_corpus"]) == (full, half)
         assert rep.worst_sample == int(np.flatnonzero(ratios == full)[0])
 
+    def test_sharp_maximal_once_per_corpus(self, monkeypatch):
+        calls = []
+
+        def counting(space, f):
+            calls.append(np.shape(f))
+            return sharp_maximal(space, f)
+
+        monkeypatch.setattr(verify, "sharp_maximal", counting)
+        gp = GrandParams.power(2.0, 0.25, 1.0, max_points=8, ratio=0.7)
+        for fc, bc in (with_zero_f_and_constant_b(16),
+                       (small_corpus(CIRC32, 24, 7), make_corpus(CIRC32, "bmo", 5, 8))):
+            rep = commutator_suite(CIRC32, "cz", fc.samples, bc.samples, params_in=gp,
+                                   kernel=conjugate_kernel(CIRC32), s=1.5)
+            first, _ = reference_commutator_values("cz", fc.samples, bc.samples, gp)
+            half, full = verify._half_and_full(first, 0.0)
+            assert (rep.empirical["pointwise_C"], rep.empirical["pointwise_C_half"]) == (full, half)
+            fefferman_stein_check(CIRC32, 2.0, 0.25, fc.samples)
+        # one stack per check and corpus: the CZ suite's holds the pairs whose b
+        # is not constant, 12 of 16 and 19 of 24 (the bmo corpus's first b is)
+        assert calls == [(12, 32), (16, 32), (19, 32), (24, 32)]
+
     def test_reduction_reports_match_per_row_operators(self):
         gp = GrandParams.power(2.0, 0.25, 1.0, max_points=8, ratio=0.7)
         fc, _ = with_zero_f_and_constant_b(16)
