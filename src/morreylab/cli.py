@@ -145,9 +145,10 @@ def cmd_norm(args) -> int:
         value = res.value
         argmax.update(center=res.center, radius_rank=res.rank)
     elif name == "bmo":
-        value = funcnorm.bmo_norm(space, f, args.variant,
-                                  p=args.p if args.variant == "jn" else None)
         params = {"variant": args.variant}
+        if args.variant == "jn":  # the only variant with an exponent
+            params["p"] = args.p
+        value = funcnorm.bmo_norm(space, f, args.variant, p=params.get("p"))
     elif name == "grand_lebesgue":
         params["theta"] = args.theta
         grid = default_eps_grid((args.p - 1) * 0.999999)

@@ -304,10 +304,18 @@ def morrey_norm(space: DiscreteHomSpace, f, p: float, lam: float):
     return float(out[0]) if single else out
 
 
-# arrays of one column block of the oscillation kernel and of the shell
-# sweep; the sweep's four (N, C E) arrays stay near it, so C falls to one
-# input at large N, where wider blocks measured slower
+# arrays of one column block of the shell sweep: its four (N, C E) arrays
+# stay near it, so C falls to one input at large N, where wider blocks
+# measured slower
 _BLOCK_BYTES = 512 * 1024
+# arrays of one block of the oscillation kernel, a core's 2 MiB L2 cache.  Its
+# deviation sums pay NumPy's cost per row of an (L, X) buffer: X = 900, 227
+# and 56 (center, input) columns at n = 64, 192 and 1024 ran f# 1.1 to 1.8
+# times faster than the sweep's 512 KiB did; twice this won 0 to 9 % at
+# n = 256 and 1024, lost 3 to 5 % at n = 64 and doubles the memory.  A median
+# block gives half of it to the weighted-median search, whose groups then do
+# not shrink as X grows.
+_OSC_BYTES = 4 * _BLOCK_BYTES
 _OSC_RANKS = 16  # radius ranks per chunk of the weighted-median search
 
 
@@ -388,6 +396,18 @@ def _ball_medians(fv, wv, ranks, ends, nr, work):
     return cen
 
 
+def _oscillation_sizes(space: DiscreteHomSpace, center: str) -> tuple[int, int]:
+    """Columns per block of the oscillation kernel, at least two, and the doubles of
+    its median search.  A block's arrays fit `_OSC_BYTES`, or its first half for center
+    "median", whose search takes the second half, whatever the block's width."""
+    n, rmax, median = space.n, space.balls.measures.shape[1], center != "mean"
+    # per column: values, weights and the work buffer (N rows each); ends,
+    # measures and centres, which become the sums (R rows each); value ranks
+    per_column = 8 * (3 * n + 3 * rmax + median * n)
+    search = median * (_OSC_BYTES // 2)
+    return max(2, (_OSC_BYTES - search) // per_column), search // 8
+
+
 def _oscillation_peaks(space: DiscreteHomSpace, rows: np.ndarray, p: float = 1.0,
                        center: str = "mean") -> np.ndarray:
     """(M, N) peaks over radius ranks of (avg_B |f - c_B|^p)^(1/p), per input row and
@@ -402,18 +422,14 @@ def _oscillation_peaks(space: DiscreteHomSpace, rows: np.ndarray, p: float = 1.0
     end.  Rows are at least two wide; a one-wide sum would run pairwise.
     """
     bf, w = space.balls, space.weight
-    n, rmax, pairs = space.n, bf.measures.shape[1], len(rows) * space.n
-    # per column: values, weights and the work buffer (N rows each); ends,
-    # measures and centres, which become the sums (R rows each); value ranks
-    per_column = 8 * (3 * n + 3 * rmax + (center != "mean") * n)
-    columns = max(2, _BLOCK_BYTES // per_column)
+    n, pairs = space.n, len(rows) * space.n
+    columns, search = _oscillation_sizes(space, center)
     if center != "mean":
         value_rank = np.argsort(np.argsort(rows, axis=1, kind="stable"), axis=1)
     seq = np.argsort(-bf.n_ranks, kind="stable")
     out = np.empty((len(rows), n))
     width = min(columns, max(pairs, 2))
-    # the budget less a block's other arrays: deviations, or a median search
-    work = np.empty(max(n * width, (_BLOCK_BYTES - width * per_column) // 8 + n * width))
+    work = np.empty(max(n * width, search))  # deviations, or a median search
     for j0 in range(0, pairs, columns):
         j = np.arange(j0, min(j0 + columns, pairs))
         if len(j) == 1:  # a lone pair is repeated
@@ -454,6 +470,7 @@ def _oscillation_peaks(space: DiscreteHomSpace, rows: np.ndarray, p: float = 1.0
         if p != 1.0:
             cen **= 1.0 / p
         out[ins, cs] = cen.max(axis=0)
+        del fv, wv, ranks, ends, mu, cen  # before the next block's are made
     return out
 
 

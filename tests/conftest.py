@@ -107,11 +107,11 @@ def sweep_columns(n):
 
 
 def oscillation_columns(space):
-    """Inputs per block of the oscillation kernel, at least one: its block of
-    (center, input) columns, whose three (N, X) and three (R, X) arrays fit
-    the byte budget, over the N columns of one input."""
+    """Inputs per block of the oscillation kernel's mean centres, at least one:
+    its block of (center, input) columns, whose three (N, X) and three (R, X)
+    arrays fit the kernel's own byte budget, over the N columns of one input."""
     n, rmax = space.n, space.balls.measures.shape[1]
-    return max(1, max(2, funcnorm._BLOCK_BYTES // (8 * (3 * n + 3 * rmax))) // n)
+    return max(1, max(2, funcnorm._OSC_BYTES // (8 * (3 * n + 3 * rmax))) // n)
 
 
 def block_edge_stacks(n, columns, seed):

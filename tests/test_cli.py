@@ -9,7 +9,7 @@ import pytest
 
 from morreylab import verify
 from morreylab.cli import main
-from morreylab.funcnorm import GrandNormEvaluator, GrandParams
+from morreylab.funcnorm import GrandNormEvaluator, GrandParams, bmo_norm
 from morreylab.homspace import build_uniform_grid, dump_space_json
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -92,6 +92,25 @@ class TestNormCommand:
         argmax = payload["argmax"]
         assert argmax["eps"] in gp.eps_grid[gp.eps_grid < gp.smax]
         assert 0 <= argmax["center"] < 16 and argmax["radius_rank"] >= 0
+
+    @pytest.mark.parametrize("variant, extra, params", [
+        ("mean", [], {"variant": "mean"}),
+        ("inf", [], {"variant": "inf"}),
+        ("jn", ["--p", "3"], {"variant": "jn", "p": 3.0}),
+    ], ids=["mean", "inf", "jn-p3"])
+    def test_bmo_params_name_what_produced_the_value(self, capsys, tmp_path, variant,
+                                                     extra, params):
+        # the exponent enters only the "jn" value, so only "jn" reports it
+        path = tmp_path / "f.json"
+        f = np.sin(0.3 * np.arange(16))
+        path.write_text(json.dumps(f.tolist()))
+        code, out, _ = run(capsys, "norm", "--circle", "16", "--f", str(path),
+                           "--norm", "bmo", "--variant", variant, *extra)
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["params"] == params
+        p = params.get("p")
+        assert payload["value"] == bmo_norm(build_uniform_grid(16, 1, "circle"), f, variant, p=p)
 
     def test_unknown_norm_usage_error(self, capsys):
         code, _, err = run(capsys, "norm", "--grid", "8", "--norm", "bogus")

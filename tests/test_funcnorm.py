@@ -370,6 +370,19 @@ def reference_bmo_inf(space, b):
     return best
 
 
+def median_searches(monkeypatch):
+    """(block width, search buffer doubles) of each median search the
+    oscillation kernel makes from now on, appended to the list returned."""
+    searches, ball_medians = [], funcnorm._ball_medians
+
+    def spy(fv, wv, ranks, ends, nr, work):
+        searches.append((fv.shape[1], work.size))
+        return ball_medians(fv, wv, ranks, ends, nr, work)
+
+    monkeypatch.setattr(funcnorm, "_ball_medians", spy)
+    return searches
+
+
 class TestOscillationKernel:
     @pytest.mark.parametrize("offset", [0.0, 1e3])
     @pytest.mark.parametrize("make", REFERENCE_SPACES.values(), ids=REFERENCE_SPACES.keys())
@@ -391,9 +404,12 @@ class TestOscillationKernel:
         # the smallest budget: two (center, input) columns a block, median
         # searches of two ranks, a block edge after every other column, and
         # with three rows on 49 atoms a last block of one pair
-        monkeypatch.setattr(funcnorm, "_BLOCK_BYTES", 1)
+        monkeypatch.setattr(funcnorm, "_OSC_BYTES", 1)
+        searches = median_searches(monkeypatch)
         make = STACK_SPACES[name]
         sp = make()
+        assert funcnorm._oscillation_sizes(sp, "mean") == (2, 0)
+        assert funcnorm._oscillation_sizes(sp, "median") == (2, 0)
         fs = np.random.default_rng(31).normal(size=(3, sp.n))
         fs[1] = np.round(fs[1])  # value ties
         peaks = _oscillation_peaks(sp, fs, 3.0)
@@ -403,6 +419,39 @@ class TestOscillationKernel:
             assert np.array_equal(row, reference_oscillation_table(sp, f, 3.0).max(axis=1))
             want = reference_bmo_inf(sp, f)
             assert abs(bmo_norm(sp, f, "inf") - want) <= 1e-12 * want
+        searches.clear()
+        _oscillation_peaks(sp, fs[:2], 1.0, "median")
+        # 2 N pairs two at a time, each search in the deviations' buffer
+        assert searches == [(2, 2 * sp.n)] * sp.n, searches
+
+    def test_block_size_follows_bytes(self, monkeypatch):
+        # (center, input) columns a block: the kernel's own 2 MiB, or half of
+        # it for median centres, whose search takes the other half (2^17 doubles)
+        assert funcnorm._OSC_BYTES == 2 * 2**20
+        spaces = {64: build_uniform_grid(64, 1, "circle"), 192: random_cloud(192, 3),
+                  256: build_uniform_grid(256, 1, "circle"),
+                  1024: build_uniform_grid(1024, 1, "circle")}
+        for n, mean, median in ((64, 900, 369), (192, 227, 97), (256, 226, 92), (1024, 56, 23)):
+            assert funcnorm._oscillation_sizes(spaces[n], "mean") == (mean, 0), n
+            assert funcnorm._oscillation_sizes(spaces[n], "median") == (median, 2**17), n
+        searches = median_searches(monkeypatch)
+        _oscillation_peaks(spaces[64], np.random.default_rng(32).normal(size=(8, 64)), 1.0,
+                           "median")
+        assert searches == [(369, 2**17), (8 * 64 - 369, 2**17)]
+
+    def test_stack_working_set_is_one_block(self):
+        sp = build_uniform_grid(256, 1, "circle")
+        fs = np.random.default_rng(33).normal(size=(4, sp.n))
+        _oscillation_peaks(sp, fs[:1], 1.0, "median")  # the ball family is built outside the trace
+        tracemalloc.start()
+        try:
+            out = _oscillation_peaks(sp, fs, 1.0, "median")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the output, a block of (center, input) columns in half the kernel's
+        # budget and the median search in the other half
+        assert peak <= 2 * funcnorm._OSC_BYTES + 2 * out.nbytes, peak
 
     def test_overflow_stays_infinite(self):
         # |f - c|^3 overflows at the outlier; rows past a ball are zeroed, not
