@@ -194,25 +194,25 @@ class DiscreteHomSpace:
 class BallFamily:
     """Nested closed balls at realized radii, one chain per center.
 
-    Rows are padded to the widest chain by repeating the full-space entry,
-    so vectorized maxima over ranks are unaffected.  `order[c]` lists the
-    points by distance from center c (stable sort, deterministic);
-    the ball at (c, k) is the first `counts[c, k]` entries of that order.
-    It keeps the space's `dist` and `weight`, not the space, so the cached
-    family forms no reference cycle and is freed with its space.  `memo`
-    holds the norm layers' per-space result memos, one entry per kind of
-    result, so they too live exactly as long as the space.
+    Its one (N, N) table is `order`: `order[c]` lists the points by distance
+    from center c (stable sort, deterministic), and the ball at (c, k) is the
+    first `counts[c, k]` entries of it.  The (N, R) `radii`, `counts` and
+    `measures` are padded to the widest chain by repeating the full-space
+    entry, so vectorized maxima over ranks are unaffected.  It keeps the
+    space's `dist` and `weight`, not the space, so the cached family forms
+    no reference cycle and is freed with its space.  `memo` holds the norm
+    layers' per-space result memos, one entry per kind of result, so they
+    too live exactly as long as the space.  `open_measure` and `step_table`
+    are built on first use.
     """
 
-    __slots__ = ("dist", "weight", "order", "sorted_dist", "radii", "counts",
+    __slots__ = ("dist", "weight", "order", "radii", "counts",
                  "measures", "n_ranks", "memo", "_open_mu", "_steps")
 
-    def __init__(self, dist, weight, order, sorted_dist, radii, counts, measures,
-                 n_ranks):
+    def __init__(self, dist, weight, order, radii, counts, measures, n_ranks):
         self.dist = dist
         self.weight = weight
         self.order = order
-        self.sorted_dist = sorted_dist
         self.radii = radii
         self.counts = counts
         self.measures = measures
@@ -253,9 +253,9 @@ class BallFamily:
             radii[c, k:] = radii_rows[c][-1]
             counts[c, k:] = count_rows[c][-1]
             measures[c, k:] = mu_rows[c][-1]
-        for a in (order, sd, radii, counts, measures, n_ranks):
+        for a in (order, radii, counts, measures, n_ranks):
             a.setflags(write=False)
-        return BallFamily(d, w, order, sd, radii, counts, measures, n_ranks)
+        return BallFamily(d, w, order, radii, counts, measures, n_ranks)
 
     def radii_of(self, center: int) -> np.ndarray:
         return self.radii[center, : self.n_ranks[center]]

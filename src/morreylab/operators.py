@@ -170,12 +170,12 @@ def _rowwise(space: DiscreteHomSpace, mat: np.ndarray, f) -> np.ndarray:
 
 class CZOperator:
     """Tf(x) = sum_{y != x} K(x,y) f(y) w(y); the kernel is validated once.
+    It holds only the weighted matrix K(x,y) w(y), not the kernel's own table.
     Applies to one input (N,) or to each row of a stack (M, N)."""
 
     def __init__(self, space: DiscreteHomSpace, kernel: KernelSpec):
         validate_kernel(space, kernel)
         self.space = space
-        self.kernel = kernel
         self._mat = kernel.matrix * space.weight[None, :]
 
     def __call__(self, f) -> np.ndarray:

@@ -574,27 +574,40 @@ def build_calibrated_checks(space: DiscreteHomSpace, *, p: float = 2.0,
     maximal operator.  Grand-level: the same operators in the generalized
     grand bundles, including the (psi, A2) target bundle of the potential
     commutator.
+
+    The operators, the grand evaluators and the doubling constant (read only
+    by the formulas of maximal_morrey, maximal_s_morrey and
+    potential_commutator_morrey) are built on first use, so a suite builds
+    only what its selected checks read.
     """
-    cd = doubling_constant(space)
+    @functools.cache
+    def cd() -> float:
+        return doubling_constant(space)
 
     @functools.cache
     def cz_operator() -> CZOperator:
-        # built on first use: spaces without circle angles have no conjugate kernel
+        # spaces without circle angles have no conjugate kernel
         return CZOperator(space, conjugate_kernel(space) if kernel is None else kernel)
 
     def cz(f):
         return cz_operator()(f)
 
+    @functools.cache
+    def potential() -> PotentialOperator:
+        return PotentialOperator(space, alpha)
+
+    def pot(f):
+        return potential()(f)
+
     a_table = TabulatedFunction.linear(a_slope, np.linspace(0.0, p - 1.0, 33)[1:])
     gp = GrandParams.power(p, lam, theta, A=a_table, max_points=n_eps, ratio=0.7)
     exps, gp_in, gp_out = _potential_bundles(p, alpha, lam, theta, delta, a2_slope, n_eps)
-    pot = PotentialOperator(space, alpha)
     q = exps.q
     bundles = {"phi": gp, "in": gp_in, "out": gp_out}
 
     @functools.cache
     def evaluator(bundle: str) -> GrandNormEvaluator:
-        # each holds an N x R x E table, so it is built on first use
+        # each holds an N x R x E table
         return GrandNormEvaluator(space, bundles[bundle])
 
     ev, ev_in, ev_out = (lambda f, b=b: evaluator(b)(f) for b in bundles)
@@ -625,13 +638,13 @@ def build_calibrated_checks(space: DiscreteHomSpace, *, p: float = 2.0,
             "||Mf||_{p,lam} <= (C b^(lam/p) (p')^(1/p) + 1) ||f||_{p,lam}",
             plain_ratios(lambda f: maximal(space, f), morrey_p, morrey_p),
             formula=lambda c: constant_formula("maximal_morrey", p=p, lam=lam,
-                                               b=cd, c=c)),
+                                               b=cd(), c=c)),
         "maximal_s_morrey": CheckDef(
             "maximal_s_morrey",
             "||M_s f||_{p,lam} <= (C b^(lam s/p) ((p/s)')^(s/p) + 1) ||f||_{p,lam}",
             plain_ratios(lambda f: maximal_s(space, f, s), morrey_p, morrey_p),
             formula=lambda c: constant_formula("maximal_s_morrey", p=p, s=s,
-                                               lam=lam, b=cd, c=c)),
+                                               lam=lam, b=cd(), c=c)),
         "potential_commutator_morrey": CheckDef(
             "potential_commutator_morrey",
             "||M([b,I^a]f)||_{q,lam} <= C_{p,q,a,lam} ||b||_BMO ||f||_{p,lam}",
@@ -639,7 +652,7 @@ def build_calibrated_checks(space: DiscreteHomSpace, *, p: float = 2.0,
                         post=lambda g: maximal(space, g)),
             formula=lambda c: constant_formula(
                 "potential_commutator_morrey", p=p, q=q, alpha=alpha, lam=lam,
-                s=s, b=cd, c=c),
+                s=s, b=cd(), c=c),
             needs_b=True),
         "maximal_grand": CheckDef(
             "maximal_grand",

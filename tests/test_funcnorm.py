@@ -22,7 +22,7 @@ from morreylab.operators import maximal
 
 from conftest import (REFERENCE_SPACES, STACK_SPACES, block_edge_stacks, random_cloud,
                       reference_maximal, reference_morrey_detail, reference_phi_functional,
-                      relabeled, sweep_columns, tie_heavy_samples)
+                      oscillation_columns, relabeled, sweep_columns, tie_heavy_samples)
 
 
 def reference_lp_norm(space, f, p):
@@ -246,8 +246,8 @@ class TestMorreyKernel:
         bf = build_uniform_grid(40, 1, "circle").balls
         order = bf.order.copy()
         order[3, 7] = entry  # the step table puts order's entries in place
-        bad = type(bf)(bf.dist, bf.weight, order, bf.sorted_dist, bf.radii, bf.counts,
-                       bf.measures, bf.n_ranks)
+        bad = type(bf)(bf.dist, bf.weight, order, bf.radii, bf.counts, bf.measures,
+                       bf.n_ranks)
         with pytest.raises(ValueError, match=r"outside \[0, 40\]"):
             bad.step_table
 
@@ -434,6 +434,11 @@ class TestOscillationKernel:
         for n, mean, median in ((64, 900, 369), (192, 227, 97), (256, 226, 92), (1024, 56, 23)):
             assert funcnorm._oscillation_sizes(spaces[n], "mean") == (mean, 0), n
             assert funcnorm._oscillation_sizes(spaces[n], "median") == (median, 2**17), n
+        # one atom: 48 (mean) or 56 (median) bytes a column, one input a column
+        atom = STACK_SPACES["single-atom"]()
+        assert funcnorm._oscillation_sizes(atom, "mean") == (43_690, 0)
+        assert funcnorm._oscillation_sizes(atom, "median") == (18_724, 2**17)
+        assert oscillation_columns(atom) == 43_690
         searches = median_searches(monkeypatch)
         _oscillation_peaks(spaces[64], np.random.default_rng(32).normal(size=(8, 64)), 1.0,
                            "median")

@@ -338,6 +338,47 @@ class TestCalibration:
             table[name]()
             assert len(built) == 1, name
 
+    def test_potential_and_doubling_built_on_first_use(self, monkeypatch):
+        built = {"potential": 0, "doubling": 0}
+        init, doubling = PotentialOperator.__init__, verify.doubling_constant
+
+        def counting_init(op, space, alpha):
+            built["potential"] += 1
+            init(op, space, alpha)
+
+        def counting_doubling(space):
+            built["doubling"] += 1
+            return doubling(space)
+
+        monkeypatch.setattr(PotentialOperator, "__init__", counting_init)
+        monkeypatch.setattr(verify, "doubling_constant", counting_doubling)
+        checks = build_calibrated_checks(CIRC32, n_eps=8)
+        assert built == {"potential": 0, "doubling": 0}
+        fc, bs = small_corpus(CIRC32, 4), make_corpus(CIRC32, "bmo", 2, 1)
+        for name in ("maximal_grand", "cz_grand"):
+            checks[name].ratios(fc, bs)
+        assert built == {"potential": 0, "doubling": 0}
+        # only three formulas read the doubling constant, and only two checks
+        # apply the potential operator
+        for name in ("maximal_morrey", "maximal_s_morrey"):
+            calibrate(checks[name], fc, bs)
+            assert built == {"potential": 0, "doubling": 1}, name
+        for name in ("potential_commutator_grand", "potential_commutator_morrey"):
+            calibrate(checks[name], fc, bs)
+            assert built == {"potential": 1, "doubling": 1}, name
+
+    def test_setup_builds_no_square_table(self):
+        sp = build_uniform_grid(256, 1, "circle")
+        sp.balls  # the ball family is built outside the trace
+        tracemalloc.start()
+        try:
+            build_calibrated_checks(sp)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the open measure and the potential matrix are one N x N table each
+        assert peak < sp.n * sp.n * 8, peak
+
     def test_all_checks_calibrate_and_pass(self, setup):
         checks, frozen, fresh, bs = setup
         for name, chk in checks.items():
