@@ -25,8 +25,7 @@ from .homspace import (BallFamily, DegenerateFit, DiscreteHomSpace,
                        SpaceValidationError, SymmetryViolation,
                        ZeroDistanceOffDiagonal, build_from_table,
                        build_uniform_grid, check_annulus, doubling_constant,
-                       realized_balls, reverse_doubling_exponent,
-                       space_from_points)
+                       reverse_doubling_exponent, space_from_points)
 from .operators import (CZOperator, DivergenceSuspected, KernelSizeViolation,
                         KernelSpec, PotentialOperator, commutator,
                         conjugate_kernel, cz_apply, dini_integral,
@@ -34,7 +33,7 @@ from .operators import (CZOperator, DivergenceSuspected, KernelSizeViolation,
                         potential_apply, sharp_maximal, validate_kernel)
 from .verify import (AllSamplesDegenerate, HypothesisFailed, VerificationReport,
                      commutator_suite, dominance_check, embedding_chain_check,
-                     fefferman_stein_check, operator_norm_ratio,
-                     reduction_transfer_check, run_suite)
+                     fefferman_stein_check, reduction_transfer_check,
+                     run_suite)
 
 __version__ = "0.1.0"

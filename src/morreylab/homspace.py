@@ -41,14 +41,12 @@ __all__ = [
     "build_uniform_grid",
     "build_from_table",
     "space_from_points",
-    "realized_balls",
     "load_space_json",
     "dump_space_json",
     "load_space_csv",
     "doubling_constant",
     "reverse_doubling_exponent",
     "check_annulus",
-    "iterated_doubling_report",
 ]
 
 _REL_TOL = 1e-12
@@ -311,11 +309,6 @@ class BallFamily:
         return self._open_mu
 
 
-def realized_balls(space: "DiscreteHomSpace") -> "BallFamily":
-    """The closed-ball family of a space (cached on the space)."""
-    return space.balls
-
-
 @dataclass
 class AnnulusReport:
     passed: bool
@@ -547,39 +540,3 @@ def check_annulus(space: DiscreteHomSpace) -> AnnulusReport:
             "ranks contain the atoms at the outer radius")
     return AnnulusReport(passed=not witnesses, witnesses=witnesses, note=note)
 
-
-def iterated_doubling_report(space: DiscreteHomSpace, cd: float | None = None) -> dict:
-    """Worst slack in mu B(x,R)/mu B(y,r) <= C_d (R/r)^log2(C_d) over nested pairs.
-
-    Scans every pair of realized balls B(y,r) subset B(x,R) with r > 0 (both
-    centers, O(balls^2) membership tests) and returns the maximal ratio of
-    measure quotient to bound.  Values <= 1 mean the iterated-doubling bound
-    holds with the empirical constant.
-    """
-    if cd is None:
-        cd = doubling_constant(space)
-    bf = space.balls
-    n = space.n
-    balls = []
-    for c in range(n):
-        for k in range(int(bf.n_ranks[c])):
-            r = float(bf.radii[c, k])
-            if r <= 0:
-                continue
-            mask = np.zeros(n, dtype=bool)
-            mask[bf.members(c, k)] = True
-            balls.append((r, float(bf.measures[c, k]), mask))
-    worst = 0.0
-    worst_pair = None
-    expo = math.log2(cd) if cd > 1 else 0.0
-    for ri, mi, maski in balls:
-        for rj, mj, maskj in balls:
-            if rj < ri or (maski & ~maskj).any():
-                continue  # need B_i subset B_j with r_i <= R_j
-            bound = cd * (rj / ri) ** expo
-            slack = (mj / mi) / bound
-            if slack > worst:
-                worst = slack
-                worst_pair = (ri, rj)
-    return {"cd": cd, "worst_slack": worst, "worst_pair": worst_pair,
-            "holds": worst <= 1.0 + 1e-9}

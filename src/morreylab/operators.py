@@ -35,8 +35,6 @@ __all__ = [
     "PotentialOperator",
     "commutator",
     "dini_integral",
-    "kernel_l2_report",
-    "kernel_smoothness_report",
 ]
 
 
@@ -110,10 +108,10 @@ def kernel_from_matrix(space: DiscreteHomSpace, matrix, name: str = "custom",
     if m.shape != (space.n, space.n):
         raise ValueError("kernel table shape does not match the space")
     modulus = modulus or _default_modulus()
-    open_mu = space.balls.open_measure
-    off = ~np.eye(space.n, dtype=bool)
-    empirical = float((np.abs(m) * open_mu)[off].max()) if space.n > 1 else 0.0
-    c = empirical if size_constant is None else float(size_constant)
+    lhs = np.abs(m) * space.balls.open_measure
+    np.fill_diagonal(lhs, 0.0)  # entries are >= 0 or NaN: a 0 diagonal drops out of the max
+    c = float(lhs.max()) if size_constant is None else float(size_constant)
+    del lhs  # not held while KernelSpec copies the matrix
     d2 = float(np.max(modulus(2.0 * modulus.xs) / modulus(modulus.xs)))
     dini = dini_integral(modulus).integral
     return KernelSpec(m, c, modulus, d2, dini, name=name)
@@ -254,59 +252,3 @@ def dini_integral(w: TabulatedFunction, max_terms: int = 200,
                 f"over {n_terms} terms")
     return DiniResult(integral, series, n_terms)
 
-
-def kernel_l2_report(space: DiscreteHomSpace, kernel: KernelSpec,
-                     samples: np.ndarray) -> dict:
-    """Largest ||Tf||_2 / ||f||_2 over a sample corpus, recorded per kernel."""
-    op = CZOperator(space, kernel)
-    w = space.weight
-    best, arg = 0.0, None
-    for i, f in enumerate(samples):
-        den = math.sqrt(float(f**2 @ w))
-        if den <= 0:
-            continue
-        num = math.sqrt(float(op(f) ** 2 @ w))
-        if num / den > best:
-            best, arg = num / den, i
-    return {"kernel": kernel.name, "l2_ratio": best, "argmax_sample": arg,
-            "corpus_size": int(len(samples))}
-
-
-def kernel_smoothness_report(space: DiscreteHomSpace, kernel: KernelSpec,
-                             separation: float = 2.0,
-                             max_triples: int = 200_000) -> dict:
-    """Estimate the best constant in the smoothness condition
-    |K(x1,y)-K(x2,y)| + |K(y,x1)-K(y,x2)| <= C w(d(x2,x1)/d(x2,y)) / mu B(x2,d(x2,y))
-    over pairs with d(x2,y) >= separation * d(x1,x2).
-
-    The multiplicative separation constant is not pinned down by the kernel
-    conditions, so this reports the envelope instead of asserting a value.
-    """
-    d = space.dist
-    n = space.n
-    open_mu = space.balls.open_measure
-    k = kernel.matrix
-    rng = np.random.default_rng(0)
-    triples = []
-    for x2 in range(n):
-        others = [x1 for x1 in range(n) if x1 != x2]
-        for x1 in others:
-            ys = np.flatnonzero(d[x2] >= separation * d[x2, x1])
-            ys = ys[(ys != x1) & (ys != x2)]
-            for y in ys:
-                triples.append((x1, x2, y))
-        if len(triples) > max_triples:
-            break
-    if len(triples) > max_triples:
-        sel = rng.choice(len(triples), size=max_triples, replace=False)
-        triples = [triples[i] for i in sorted(sel)]
-    best = 0.0
-    for x1, x2, y in triples:
-        num = abs(k[x1, y] - k[x2, y]) + abs(k[y, x1] - k[y, x2])
-        ratio = d[x2, x1] / d[x2, y]
-        wv = kernel.modulus(ratio)
-        if wv <= 0:
-            continue
-        best = max(best, num * open_mu[x2, y] / wv)
-    return {"kernel": kernel.name, "separation": separation,
-            "best_constant": best, "n_triples": len(triples)}

@@ -16,7 +16,7 @@ import functools
 import io
 import json
 import math
-# unused here: bench/spans.py patches it, and the run trace of ROADMAP item 1 drops both
+# unused here: bench/spans.py patches it, and the run trace of ROADMAP item 4 drops both
 from concurrent.futures import ThreadPoolExecutor  # noqa: F401
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -37,7 +37,6 @@ __all__ = [
     "AllSamplesDegenerate",
     "HypothesisFailed",
     "VerificationReport",
-    "operator_norm_ratio",
     "dominance_check",
     "embedding_chain_check",
     "reduction_transfer_check",
@@ -121,27 +120,6 @@ def _nanmax_with_arg(values: np.ndarray) -> tuple[float, int]:
     return float(values[idx]), idx
 
 
-def operator_norm_ratio(op: Callable, norm_in: Callable, norm_out: Callable,
-                        samples: Sequence[np.ndarray], *, name: str = "operator_norm",
-                        claim: str = "", corpus_desc: str = "",
-                        theoretical: float | None = None) -> VerificationReport:
-    """max over the corpus of norm_out(op f) / norm_in(f); 0/0 excluded."""
-
-    def one(f):
-        den = norm_in(f)
-        if den <= 0.0:
-            return np.nan
-        return norm_out(op(f)) / den
-
-    ratios = np.asarray([one(f) for f in samples])
-    best, idx = _nanmax_with_arg(ratios)
-    passed = math.isfinite(best) and (theoretical is None or best <= theoretical * (1 + 1e-9))
-    return VerificationReport(
-        check=name, claim=claim, corpus=corpus_desc,
-        empirical={"ratio": best, "excluded": int(np.isnan(ratios).sum())},
-        theoretical=theoretical, worst_sample=idx, passed=passed)
-
-
 def dominance_check(space: DiscreteHomSpace, params: GrandParams, sigma_grid,
                     samples: Sequence[np.ndarray], *, corpus_desc: str = "",
                     stability_tol: float = 0.05) -> VerificationReport:
@@ -172,13 +150,12 @@ def dominance_check(space: DiscreteHomSpace, params: GrandParams, sigma_grid,
         return best
 
     weighted = ev.weighted_vector(_stack(space, samples))
-    half, full = _half_and_full([sample_constant(w) for w in weighted], 0.0)
-    drift = abs(full - half) / full if full > 0 else 0.0
-    passed = math.isfinite(full) and drift <= stability_tol
+    full, half, drift = _stability(0.0, C=[sample_constant(w) for w in weighted])
+    passed = math.isfinite(full["C"]) and drift <= stability_tol
     return VerificationReport(
         check="dominance", corpus=corpus_desc,
         claim="Phi(f,s) <= C phi(sigma)^(-1/(p-sigma)) Phi(f,sigma) for sigma < s",
-        empirical={"C_emp": full, "C_half_corpus": half, "drift": drift},
+        empirical={"C_emp": full["C"], "C_half_corpus": half["C_half"], "drift": drift},
         passed=passed,
         details={"sigma_grid": sig.tolist(), "stability_tol": stability_tol})
 
@@ -371,19 +348,17 @@ def commutator_suite(space: DiscreteHomSpace, kind: str, f_samples, b_samples,
         nums = sharp_maximal(space, gs[live])
         ok = dens > 1e-14 * np.abs(nums)  # a ratio above 1e14 counts as 0/0
         point[live] = np.divide(nums, dens, out=np.zeros_like(nums), where=ok).max(axis=1)
-        grand = norm_ratios(ev_out, ev, fs, gs, nbs)
-        p_half, p_full = _half_and_full(point, 0.0)
-        g_half, g_full = _half_and_full(grand, np.nan)
-        if np.isnan(g_full):
+        # point is never NaN, so its maxima do not depend on the empty value
+        full, half, drift = _stability(np.nan, pointwise_C=point,
+                                       grand_C=norm_ratios(ev_out, ev, fs, gs, nbs))
+        if np.isnan(full["grand_C"]):
             raise AllSamplesDegenerate("no nonzero (b, f) pair")
-        drift = max(_drift(p_half, p_full), _drift(g_half, g_full))
-        passed = math.isfinite(g_full) and drift <= stability_tol
+        passed = math.isfinite(full["grand_C"]) and drift <= stability_tol
         return VerificationReport(
             check="commutator_cz", corpus=corpus_desc,
             claim="([b,T]f)# <= C ||b||_BMO (M_s(Tf) + M_s f) pointwise and "
                   "||[b,T]f||_grand <= C ||b||_BMO ||f||_grand",
-            empirical={"pointwise_C": p_full, "grand_C": g_full, "drift": drift,
-                       "pointwise_C_half": p_half, "grand_C_half": g_half},
+            empirical={**full, "drift": drift, **half},
             passed=passed, details={"s": s, "stability_tol": stability_tol})
 
     if kind != "potential":
@@ -403,21 +378,17 @@ def commutator_suite(space: DiscreteHomSpace, kind: str, f_samples, b_samples,
     gs = commutator(bs[pairs], pot, fs)
     mgs = maximal(space, gs)
     dom_ok = bool(np.all(np.abs(gs[live]) <= mgs[live] * (1 + 1e-12) + 1e-300))
-    morrey = norm_ratios(morrey_at(exps.q), morrey_at(exps.p), fs, mgs, nbs)
-    grand = norm_ratios(ev_out, ev_in, fs, mgs, nbs)
-    m_half, m_full = _half_and_full(morrey, np.nan)
-    g_half, g_full = _half_and_full(grand, np.nan)
-    if np.isnan(m_full) and np.isnan(g_full):
+    full, half, drift = _stability(
+        np.nan, morrey_C=norm_ratios(morrey_at(exps.q), morrey_at(exps.p), fs, mgs, nbs),
+        grand_C=norm_ratios(ev_out, ev_in, fs, mgs, nbs))
+    if np.isnan(full["morrey_C"]) and np.isnan(full["grand_C"]):
         raise AllSamplesDegenerate("no nonzero (b, f) pair")
-    drift = max(_drift(m_half, m_full), _drift(g_half, g_full))
-    passed = dom_ok and math.isfinite(g_full) and drift <= stability_tol
+    passed = dom_ok and math.isfinite(full["grand_C"]) and drift <= stability_tol
     return VerificationReport(
         check="commutator_potential", corpus=corpus_desc,
         claim="||M([b,I^a]f)||_{q,lam} <= C ||b||_BMO ||f||_{p,lam}, the grand "
               "version into the (psi, A2) bundle, and |[b,I^a]f| <= M([b,I^a]f)",
-        empirical={"morrey_C": m_full, "grand_C": g_full,
-                   "pointwise_domination": dom_ok, "drift": drift,
-                   "morrey_C_half": m_half, "grand_C_half": g_half},
+        empirical={**full, "pointwise_domination": dom_ok, "drift": drift, **half},
         theoretical=theo, passed=passed,
         details={"s": s, "doubling_b": cd, "stability_tol": stability_tol})
 
@@ -438,10 +409,19 @@ def _half_and_full(values, empty: float) -> tuple[float, float]:
             float(np.fmax.reduce(vals, initial=empty)))
 
 
-def _drift(half: float, full: float) -> float:
-    if not math.isfinite(half) or not math.isfinite(full) or full <= 0:
-        return 0.0
-    return abs(full - half) / full
+def _stability(empty: float, **values) -> tuple[dict, dict, float]:
+    """The half-corpus stability rule shared by dominance, the commutator
+    suites and Fefferman-Stein: per named vector of per-sample values, its
+    full-corpus maximum (keyed by the name) and half-corpus maximum (keyed
+    name + "_half"), as `_half_and_full` takes them, and the largest relative
+    drift between the two.  A vector whose maxima are not both finite, or
+    whose full maximum is not positive, drifts 0."""
+    full, half = {}, {}
+    for name, vals in values.items():
+        half[f"{name}_half"], full[name] = _half_and_full(vals, empty)
+    drift = max((abs(f - h) / f for f, h in zip(full.values(), half.values())
+                 if math.isfinite(h) and math.isfinite(f) and f > 0), default=0.0)
+    return full, half, drift
 
 
 def fefferman_stein_check(space: DiscreteHomSpace, p: float, lam: float,
@@ -458,14 +438,14 @@ def fefferman_stein_check(space: DiscreteHomSpace, p: float, lam: float,
     den = morrey_norm(space, sharp_maximal(space, f0s), p, lam)
     num = morrey_norm(space, maximal(space, f0s), p, lam)
     ratios = np.divide(num, den, out=np.full(len(f0s), np.nan), where=den > 0)
-    half, full = _half_and_full(ratios, 0.0)
-    arg = int(np.flatnonzero(ratios == full)[0]) if full > 0 else None
-    drift = _drift(half, full)
-    passed = math.isfinite(full) and full > 0 and drift <= stability_tol
+    full, half, drift = _stability(0.0, C=ratios)
+    c = full["C"]
+    arg = int(np.flatnonzero(ratios == c)[0]) if c > 0 else None
+    passed = math.isfinite(c) and c > 0 and drift <= stability_tol
     return VerificationReport(
         check="fefferman_stein", corpus=corpus_desc,
         claim="||Mf||_{p,lam} <= C ||f#||_{p,lam} for mean-zero f",
-        empirical={"C_emp": full, "C_half_corpus": half, "drift": drift},
+        empirical={"C_emp": c, "C_half_corpus": half["C_half"], "drift": drift},
         worst_sample=arg, passed=passed,
         details={"p": p, "lam": lam,
                  "note": "constants excluded: on finite measure Mc > 0 while c# = 0",
@@ -566,7 +546,7 @@ def build_calibrated_checks(space: DiscreteHomSpace, *, p: float = 2.0,
                             alpha: float = 0.25, s: float = 1.5,
                             a_slope: float = 0.5, a2_slope: float = 0.05,
                             delta: float = 0.5, cz_ps=(1.5, 3.0),
-                            n_eps: int = 16, kernel=None) -> dict[str, CheckDef]:
+                            n_eps: int = 16) -> dict[str, CheckDef]:
     """The calibratable inequality set on one space.
 
     Morrey-level: maximal operator, its s-power variant, the singular
@@ -587,7 +567,7 @@ def build_calibrated_checks(space: DiscreteHomSpace, *, p: float = 2.0,
     @functools.cache
     def cz_operator() -> CZOperator:
         # spaces without circle angles have no conjugate kernel
-        return CZOperator(space, conjugate_kernel(space) if kernel is None else kernel)
+        return CZOperator(space, conjugate_kernel(space))
 
     def cz(f):
         return cz_operator()(f)

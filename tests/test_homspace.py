@@ -13,8 +13,7 @@ from morreylab.homspace import (DegenerateFit, NonPositiveWeight,
                                 ZeroDistanceOffDiagonal, build_from_table,
                                 build_uniform_grid, check_annulus,
                                 doubling_constant, dump_space_json,
-                                iterated_doubling_report, load_space_csv,
-                                load_space_json, realized_balls,
+                                load_space_csv, load_space_json,
                                 reverse_doubling_exponent, space_from_points)
 
 from conftest import random_cloud
@@ -169,8 +168,8 @@ class TestBallFamily:
             assert bf.measure(c, 0) >= cloud20.weight[c]
 
     def test_deterministic_enumeration(self, cloud20):
-        a = realized_balls(cloud20)
-        b = realized_balls(build_from_table(cloud20.dist, cloud20.weight))
+        a = cloud20.balls
+        b = build_from_table(cloud20.dist, cloud20.weight).balls
         assert np.array_equal(a.order, b.order)
         assert np.array_equal(a.counts, b.counts)
 
@@ -186,7 +185,7 @@ class TestBallFamily:
             gc.enable()
 
     def test_family_outlives_its_space(self, circle32):
-        bf = realized_balls(build_from_table(circle32.dist, circle32.weight))
+        bf = build_from_table(circle32.dist, circle32.weight).balls
         assert np.array_equal(bf.open_measure, circle32.balls.open_measure)
 
     def test_members_match_direct_enumeration(self, cloud20):
@@ -293,19 +292,6 @@ class TestAnnulus:
         sp = space_from_points(np.array([[0.0], [1.0], [3.0]]))
         rep = check_annulus(sp)
         assert rep.passed and not rep.witnesses
-
-
-class TestIteratedDoubling:
-    @pytest.mark.parametrize("maker", [
-        lambda: build_uniform_grid(12, 1, "interval"),
-        lambda: build_uniform_grid(12, 1, "circle"),
-        lambda: build_uniform_grid(4, 2, "interval"),
-        lambda: random_cloud(14, 5),
-        lambda: random_cloud(14, 6, dim=1),
-    ])
-    def test_nested_pairs_bounded(self, maker):
-        rep = iterated_doubling_report(maker())
-        assert rep["holds"], rep
 
 
 @settings(max_examples=25, deadline=None)

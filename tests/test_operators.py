@@ -8,15 +8,13 @@ from hypothesis import strategies as st
 
 from morreylab import funcnorm
 from morreylab.funcnorm import GridFunction, TabulatedFunction
-from morreylab.homspace import build_uniform_grid
+from morreylab.homspace import build_from_table, build_uniform_grid
 from morreylab.operators import (CZOperator, DiniResult, DivergenceSuspected,
                                  KernelSizeViolation, PotentialOperator,
                                  commutator, conjugate_kernel, cz_apply,
                                  dini_integral, hilbert_kernel,
-                                 kernel_from_matrix, kernel_l2_report,
-                                 kernel_smoothness_report, maximal, maximal_s,
-                                 potential_apply, sharp_maximal,
-                                 validate_kernel)
+                                 kernel_from_matrix, maximal, maximal_s,
+                                 potential_apply, sharp_maximal, validate_kernel)
 
 from conftest import (REFERENCE_SPACES, STACK_SPACES, block_edge_stacks,
                       oscillation_columns, random_cloud, reference_maximal, relabeled,
@@ -297,17 +295,26 @@ class TestCZ:
         k = hilbert_kernel(grid16)
         assert np.allclose(k.matrix, -k.matrix.T, atol=1e-12)
 
-    def test_l2_report(self, circle32):
-        k = conjugate_kernel(circle32)
-        rng = np.random.default_rng(6)
-        rep = kernel_l2_report(circle32, k, rng.normal(size=(20, 32)))
-        assert rep["l2_ratio"] > 0 and math.isfinite(rep["l2_ratio"])
+    def test_size_constant_matches_off_diagonal_mask(self, grid16):
+        def masked(space, m):
+            # reference: the maximum over an N x N off-diagonal mask
+            off = ~np.eye(space.n, dtype=bool)
+            return float((np.abs(m) * space.balls.open_measure)[off].max()) if space.n > 1 else 0.0
 
-    def test_smoothness_report(self, circle32):
-        k = conjugate_kernel(circle32)
-        rep = kernel_smoothness_report(circle32, k, separation=2.0)
-        assert rep["best_constant"] > 0 and math.isfinite(rep["best_constant"])
-        assert rep["n_triples"] > 0
+        circle = build_uniform_grid(1024, 1, "circle")
+        grid64 = build_uniform_grid(64, 1, "interval")
+        rough = np.random.default_rng(3).normal(size=(16, 16))
+        nan_diag, inf_diag, nan_off = rough.copy(), rough.copy(), rough.copy()
+        np.fill_diagonal(nan_diag, np.nan)
+        np.fill_diagonal(inf_diag, np.inf)
+        nan_off[2, 5] = np.nan
+        cases = [(circle, conjugate_kernel(circle).matrix),
+                 (grid64, hilbert_kernel(grid64).matrix),
+                 (grid16, nan_diag), (grid16, inf_diag), (grid16, nan_off),
+                 (build_from_table([[0.0]], [1.0]), np.array([[7.0]]))]
+        for space, m in cases:
+            got = kernel_from_matrix(space, m).size_constant
+            assert np.array_equal(got, masked(space, m), equal_nan=True), (space.n, got)
 
 
 class TestPotential:

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 import tracemalloc
@@ -20,8 +22,8 @@ from morreylab.verify import (AllSamplesDegenerate, HypothesisFailed,
                               dominance_check, embedding_chain_check,
                               eta_identity_report, aux_function_report,
                               fefferman_stein_check, merge_config,
-                              operator_norm_ratio, reduction_transfer_check,
-                              reports_to_csv, reports_to_json, run_suite)
+                              reduction_transfer_check, reports_to_csv,
+                              reports_to_json, run_suite)
 
 CIRC32 = build_uniform_grid(32, 1, "circle")
 
@@ -30,43 +32,17 @@ def small_corpus(space, size=24, seed=0, family="mixed"):
     return make_corpus(space, family, size, seed)
 
 
-class TestOperatorNormRatio:
-    def test_identity_gives_one(self):
-        corp = small_corpus(CIRC32)
-        norm = lambda f: lp_norm(CIRC32, f, 2.0)
-        rep = operator_norm_ratio(lambda f: f, norm, norm, corp.samples)
-        assert rep.empirical["ratio"] == pytest.approx(1.0, rel=1e-12)
-        assert rep.passed
+class TestStabilityRule:
+    def test_maxima_per_name_and_the_largest_drift(self):
+        full, half, drift = verify._stability(np.nan, a=[1.0, 2.0, np.nan, 4.0],
+                                              b=[np.nan, np.nan, 3.0, 3.0])
+        assert list(full.items()) == [("a", 4.0), ("b", 3.0)]
+        assert list(half.items())[0] == ("a_half", 2.0) and np.isnan(half["b_half"])
+        assert drift == 0.5  # b's NaN half-corpus maximum drifts 0
 
-    def test_constant_b_commutator_ratio_zero(self):
-        op = CZOperator(CIRC32, conjugate_kernel(CIRC32))
-        b = np.full(32, 3.0)
-        com = lambda f: b * op(f) - op(b * f)
-        norm = lambda f: lp_norm(CIRC32, f, 2.0)
-        rep = operator_norm_ratio(com, norm, norm, small_corpus(CIRC32).samples)
-        assert rep.empirical["ratio"] == pytest.approx(0.0, abs=1e-12)
-
-    def test_all_samples_degenerate(self):
-        norm = lambda f: lp_norm(CIRC32, f, 2.0)
-        zeros = np.zeros((4, 32))
-        with pytest.raises(AllSamplesDegenerate):
-            operator_norm_ratio(lambda f: f, norm, norm, zeros)
-
-    def test_theoretical_bound_enforced(self):
-        corp = small_corpus(CIRC32)
-        norm = lambda f: lp_norm(CIRC32, f, 2.0)
-        rep = operator_norm_ratio(lambda f: 2.0 * f, norm, norm, corp.samples,
-                                  theoretical=1.5)
-        assert not rep.passed
-
-    def test_scaling_invariance(self):
-        corp = small_corpus(CIRC32)
-        norm = lambda f: lp_norm(CIRC32, f, 2.0)
-        op = lambda f: maximal(CIRC32, f)
-        r1 = operator_norm_ratio(op, norm, norm, corp.samples)
-        r2 = operator_norm_ratio(op, norm, norm, 7.5 * corp.samples)
-        assert r1.empirical["ratio"] == pytest.approx(r2.empirical["ratio"],
-                                                      rel=1e-12)
+    @pytest.mark.parametrize("vals", [[np.inf, 1.0], [1.0, np.inf], [0.0, 0.0], [np.nan] * 2])
+    def test_non_finite_or_zero_maxima_drift_zero(self, vals):
+        assert verify._stability(0.0, C=vals)[2] == 0.0
 
 
 class TestDominance:
@@ -379,6 +355,12 @@ class TestCalibration:
         # the open measure and the potential matrix are one N x N table each
         assert peak < sp.n * sp.n * 8, peak
 
+    def test_all_samples_degenerate(self, setup):
+        checks = setup[0]
+        zeros = Corpus(np.zeros((4, 32)), "zeros", 0)
+        with pytest.raises(AllSamplesDegenerate):
+            calibrate(checks["maximal_morrey"], zeros, None)
+
     def test_all_checks_calibrate_and_pass(self, setup):
         checks, frozen, fresh, bs = setup
         for name, chk in checks.items():
@@ -459,6 +441,22 @@ class TestSuiteRunner:
         lines = csv_text.strip().splitlines()
         assert len(lines) == len(reports) + 1
         assert lines[0].startswith("check,passed")
+
+    def test_csv_primary_column_is_each_checks_headline_constant(self):
+        # reports_to_csv takes the first numeric empirical value, so the key
+        # order of each report decides the column; JSON sorts its keys
+        primary = {"dominance": "C_emp", "fefferman_stein": "C_emp",
+                   "commutator_cz": "pointwise_C", "commutator_potential": "morrey_C",
+                   "reduction_transfer[M]": "sup_C_eps", "reduction_transfer[T]": "sup_C_eps"}
+        reports = run_suite({**self.CFG, "checks": [
+            "dominance", "fefferman_stein", "commutator_cz", "commutator_potential",
+            "reduction_maximal", "reduction_cz"]})
+        rows = list(csv.DictReader(io.StringIO(reports_to_csv(reports))))
+        assert [row["check"] for row in rows] == list(primary)
+        for rep, row in zip(reports, rows):
+            key = primary[rep.check]
+            assert next(iter(rep.empirical)) == key, rep.check
+            assert row["primary_constant"] == repr(float(rep.empirical[key])), rep.check
 
     def test_runs_on_space_without_circle_angles(self):
         reports = run_suite({"space": {"kind": "grid2d", "n": 4},
