@@ -137,20 +137,12 @@ def dominance_check(space: DiscreteHomSpace, params: GrandParams, sigma_grid,
     if np.any(cut == 0):
         raise ValueError("no grid point below the smallest sigma")
     sig_w = params.phi(sig) ** (1.0 / (params.p - sig))
-
-    def sample_constant(weighted: np.ndarray) -> float:
-        best = 0.0
-        prefix = np.maximum.accumulate(weighted)
-        phis = prefix[cut - 1]  # Phi(f, s) over grid points strictly < s
-        if phis[-1] <= 0:
-            return best
-        for i in range(sig.size - 1):
-            if phis[i] > 0:
-                best = max(best, float((phis[i + 1:] * sig_w[i] / phis[i]).max()))
-        return best
-
-    weighted = ev.weighted_vector(_stack(space, samples))
-    full, half, drift = _stability(0.0, C=[sample_constant(w) for w in weighted])
+    # (M, S): Phi(f, s) over grid points strictly < s, per sample and sigma
+    phis = np.maximum.accumulate(ev.weighted_vector(_stack(space, samples)), axis=1)[:, cut - 1]
+    i, j = np.triu_indices(sig.size, k=1)  # pairs i < j: sigma_i < sigma_j on an ascending grid
+    live = phis[:, i] > 0  # a zero sample has no live pair and counts 0
+    pair = np.divide(phis[:, j] * sig_w[i], phis[:, i], out=np.zeros(live.shape), where=live)
+    full, half, drift = _stability(0.0, C=np.max(pair, axis=1, initial=0.0))
     passed = math.isfinite(full["C"]) and drift <= stability_tol
     return VerificationReport(
         check="dominance", corpus=corpus_desc,
@@ -227,8 +219,7 @@ def reduction_transfer_check(space: DiscreteHomSpace, U: Callable, Lam: Callable
     p, q = params_in.p, params_out.p
     ev_in = GrandNormEvaluator(space, params_in)
     ev_out = ev_in if params_out is params_in else GrandNormEvaluator(space, params_out)
-    if ev_in.grid.shape != ev_out.grid.shape or not np.array_equal(ev_in.grid,
-                                                                   ev_out.grid):
+    if not np.array_equal(ev_in.grid, ev_out.grid):
         raise ValueError("transfer check needs a shared evaluable eps grid")
     below = ev_in.grid < sigma
     eps_used = ev_in.grid[below]
@@ -236,33 +227,23 @@ def reduction_transfer_check(space: DiscreteHomSpace, U: Callable, Lam: Callable
         raise ValueError("no evaluable grid point below sigma")
     cut = int(below.sum())
 
-    c_eps = np.zeros(eps_used.size)
-    grand_ratio = 0.0
-    c0 = 0.0
-    worst = None
+    mv_in, mv_out = ev_in.morrey_vector(lf), ev_out.morrey_vector(uf)
+    num, den = mv_out[:, :cut], mv_in[:, :cut]  # (M, cut): per sample and eps below sigma
+    dead = den <= 0
+    bad = np.argwhere(dead & (num > 0))  # row-major: the first sample, then its first eps
+    if bad.size:
+        raise HypothesisFailed("per-eps-bound", (float(eps_used[bad[0, 1]]), int(bad[0, 0])),
+                               f"{u_name}f has positive norm while {lam_name}f vanishes")
+    c_eps = np.divide(num, den, out=np.zeros(num.shape), where=~dead).max(axis=0, initial=0.0)
+    den_g = (ev_in.phi_pow * mv_in).max(axis=1)
+    w_out = np.maximum.accumulate(ev_out.phi_pow * mv_out, axis=1)
+    num_g, phi_sig = w_out[:, -1], w_out[:, cut - 1]  # phi_sig: Phi_psi(Uf, sigma)
+    ratio = np.divide(num_g, den_g, out=np.zeros(len(rows)), where=den_g > 0)
+    grand_ratio = float(np.fmax.reduce(ratio, initial=0.0))  # a NaN ratio counts as none
+    worst = int(np.argmax(ratio == grand_ratio)) if grand_ratio > 0 else None
     psig = params_out.phi(sigma) ** (1.0 / (q - sigma))
-    mvs_in = ev_in.morrey_vector(lf)
-    mvs_out = ev_out.morrey_vector(uf)
-    for i, (mv_in, mv_out) in enumerate(zip(mvs_in, mvs_out)):
-        num, den = mv_out[:cut], mv_in[:cut]
-        dead = den <= 0
-        if np.any(dead & (num > 0)):
-            k = int(np.flatnonzero(dead & (num > 0))[0])
-            raise HypothesisFailed(
-                "per-eps-bound", (float(eps_used[k]), i),
-                f"{u_name}f has positive norm while {lam_name}f vanishes")
-        live = ~dead
-        if np.any(live):
-            c_eps[live] = np.maximum(c_eps[live], num[live] / den[live])
-        w_in = np.maximum.accumulate(ev_in.phi_pow * mv_in)
-        w_out = np.maximum.accumulate(ev_out.phi_pow * mv_out)
-        den_g, num_g = w_in[-1], w_out[-1]
-        if den_g > 0 and num_g / den_g > grand_ratio:
-            grand_ratio = num_g / den_g
-            worst = i
-        phi_sig = w_out[cut - 1]  # Phi_psi(Uf, sigma) over grid points < sigma
-        if phi_sig > 0:
-            c0 = max(c0, num_g * psig / phi_sig)
+    c0 = float(np.fmax.reduce(np.divide(num_g * psig, phi_sig, out=np.zeros(len(rows)),
+                                        where=phi_sig > 0), initial=0.0))
     sup_c = float(c_eps.max())
     if not math.isfinite(sup_c):
         raise HypothesisFailed("finite-sup", None, "per-eps constants unbounded")
@@ -313,12 +294,13 @@ def norm_ratios(norm_num: Callable, norm_den: Callable, fs: np.ndarray,
 
 def commutator_suite(space: DiscreteHomSpace, kind: str, f_samples, b_samples,
                      *, params_in: GrandParams, params_out: GrandParams | None = None,
-                     exps: AuxExponents | None = None, kernel=None, s: float = 1.5,
-                     corpus_desc: str = "", stability_tol: float = 0.10) -> VerificationReport:
+                     exps: AuxExponents | None = None, operator: CZOperator | None = None,
+                     s: float = 1.5, corpus_desc: str = "",
+                     stability_tol: float = 0.10) -> VerificationReport:
     """Commutator boundedness measurements for one operator family.
 
-    kind "cz":        [b,T] with the sharp-function pointwise bound and the
-                      grand-norm ratio in the same space both sides.
+    kind "cz":        [b,T] for `operator` T: the sharp-function pointwise
+                      bound and the grand-norm ratio in one space both sides.
     kind "potential": M([b,I^alpha]) with the Morrey-norm ratio (p -> q), the
                       grand-norm ratio into the (psi, A2) bundle, and the exact
                       pointwise domination |[b,I^alpha]f| <= M([b,I^alpha]f).
@@ -337,14 +319,14 @@ def commutator_suite(space: DiscreteHomSpace, kind: str, f_samples, b_samples,
     live = np.flatnonzero(nbs > 0)  # pairs with a constant b have no pointwise bound
 
     if kind == "cz":
-        if kernel is None:
-            raise ValueError("kind 'cz' needs a kernel")
-        op = CZOperator(space, kernel)
+        if operator is None:
+            raise ValueError("kind 'cz' needs an operator")
         ev = GrandNormEvaluator(space, params_in)
         ev_out = GrandNormEvaluator(space, params_out) if params_out is not None else ev
         point = np.zeros(len(fs))
-        gs = commutator(bs[pairs], op, fs)
-        dens = nbs[live, None] * (maximal_s(space, op(fs[live]), s) + maximal_s(space, fs[live], s))
+        gs = commutator(bs[pairs], operator, fs)
+        dens = nbs[live, None] * (maximal_s(space, operator(fs[live]), s)
+                                  + maximal_s(space, fs[live], s))
         nums = sharp_maximal(space, gs[live])
         ok = dens > 1e-14 * np.abs(nums)  # a ratio above 1e14 counts as 0/0
         point[live] = np.divide(nums, dens, out=np.zeros_like(nums), where=ok).max(axis=1)
@@ -793,6 +775,10 @@ def _check_table(cfg: dict) -> dict[str, Callable[[], VerificationReport]]:
         sec = cfg[key]
         return make_corpus(space, sec["family"], int(sec["size"]), int(sec["seed"]))
 
+    @functools.cache
+    def cz_operator() -> CZOperator:  # one for reduction_cz and commutator_cz
+        return CZOperator(space, conjugate_kernel(space))
+
     fresh, bc = corpus("corpus"), corpus("bmo_corpus")
     grid = gp.eps_grid[1:]  # dominance sigmas: each needs a grid point below it
     sigmas = grid[grid < gp.smax * 0.95][-6:]
@@ -816,7 +802,7 @@ def _check_table(cfg: dict) -> dict[str, Callable[[], VerificationReport]]:
         sub = make_corpus(space, "trig", size, seed + 2)
         return commutator_suite(
             space, "cz", sub.samples, bc.samples, params_in=gp,
-            kernel=conjugate_kernel(space), s=s, corpus_desc=sub.descriptor,
+            operator=cz_operator(), s=s, corpus_desc=sub.descriptor,
             stability_tol=float(tol["commutator_stability"]))
 
     def commutator_potential() -> VerificationReport:
@@ -844,7 +830,7 @@ def _check_table(cfg: dict) -> dict[str, Callable[[], VerificationReport]]:
             space, p, theta, 2.0 * theta, (p - 1) / 2.0, fresh.samples,
             corpus_desc=fresh.descriptor, rel_tol=float(tol["embedding_rel_tol"])),
         "reduction_maximal": lambda: reduction("M", lambda f: maximal(space, f)),
-        "reduction_cz": lambda: reduction("T", CZOperator(space, conjugate_kernel(space))),
+        "reduction_cz": lambda: reduction("T", cz_operator()),
         "commutator_cz": commutator_cz,
         "commutator_potential": commutator_potential,
         "fefferman_stein": fefferman_stein,

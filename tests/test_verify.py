@@ -154,6 +154,20 @@ class TestReductionTransfer:
                                      zero, gp, gp, sigma,
                                      small_corpus(CIRC32, 6).samples)
 
+    def test_per_eps_bound_witness_is_first_failing_sample(self):
+        gp = GrandParams.power(2.0, 0.25, 1.0, max_points=10, ratio=0.7)
+        sigma = float(gp.eps_grid[-2])
+        ident = lambda f: np.asarray(f, dtype=float)
+        # Lambda f vanishes from sample 4 on, where Uf = f does not: every eps
+        # below sigma fails there, so the witness is sample 4 at the first eps
+        vanish = lambda fs: np.where(np.arange(len(fs))[:, None] >= 4, 0.0, fs)
+        samples = small_corpus(CIRC32, 8).samples
+        for check in (reduction_transfer_check, reference_reduction_empirical):
+            with pytest.raises(HypothesisFailed) as info:
+                check(CIRC32, ident, vanish, gp, gp, sigma, samples)
+            assert info.value.which == "per-eps-bound"
+            assert info.value.witness == (float(GrandNormEvaluator(CIRC32, gp).grid[0]), 4)
+
 
 class TestCommutatorSuite:
     def test_two_atom_closed_forms(self):
@@ -182,14 +196,14 @@ class TestCommutatorSuite:
         with pytest.raises(AllSamplesDegenerate):
             commutator_suite(sp, "cz", small_corpus(sp, 4).samples,
                              np.ones((2, 32)), params_in=gp,
-                             kernel=conjugate_kernel(sp))
+                             operator=CZOperator(sp, conjugate_kernel(sp)))
 
     def test_cz_suite_runs_and_stabilizes(self):
         gp = GrandParams.power(2.0, 0.25, 1.0, max_points=8, ratio=0.7)
         bs = make_corpus(CIRC32, "bmo", 8, 3)
         rep = commutator_suite(CIRC32, "cz", small_corpus(CIRC32, 48).samples,
                                bs.samples, params_in=gp,
-                               kernel=conjugate_kernel(CIRC32), s=1.5)
+                               operator=CZOperator(CIRC32, conjugate_kernel(CIRC32)), s=1.5)
         assert rep.passed, rep.empirical
         assert math.isfinite(rep.empirical["pointwise_C"])
         assert rep.empirical["pointwise_C"] > 0
@@ -205,13 +219,13 @@ class TestCommutatorSuite:
         checks["potential_commutator_morrey"].ratios(small_corpus(sp, 6, 7), bc)
         exps, gp_in, gp_out = verify._potential_bundles(2.0, 0.25, 0.25, 1.0, 0.5, 0.05, 6)
         commutator_suite(sp, "cz", fc.samples, bc.samples, params_in=gp_in,
-                         kernel=conjugate_kernel(sp))
+                         operator=CZOperator(sp, conjugate_kernel(sp)))
         commutator_suite(sp, "potential", fc.samples, bc.samples, params_in=gp_in,
                          params_out=gp_out, exps=exps)
         assert sorted(calls) == sorted(b.tobytes() for b in bc)
         other = build_uniform_grid(32, 1, "circle")  # an equal but separate space
         commutator_suite(other, "cz", fc.samples, bc.samples, params_in=gp_in,
-                         kernel=conjugate_kernel(other))
+                         operator=CZOperator(other, conjugate_kernel(other)))
         assert len(calls) == 2 * len(bc)
 
 
@@ -245,7 +259,7 @@ class TestHalfCorpusConstants:
         gp = GrandParams.power(2.0, 0.25, 1.0, max_points=8, ratio=0.7)
         bs = make_corpus(CIRC32, "bmo", 5, 3).samples
         rows = small_corpus(CIRC32, 17).samples
-        kw = dict(params_in=gp, kernel=conjugate_kernel(CIRC32), s=1.5)
+        kw = dict(params_in=gp, operator=CZOperator(CIRC32, conjugate_kernel(CIRC32)), s=1.5)
         rep = commutator_suite(CIRC32, "cz", rows, bs, **kw)
         half = commutator_suite(CIRC32, "cz", rows[:8], bs, **kw)
         for key in ("pointwise_C", "grand_C"):
@@ -533,6 +547,16 @@ class TestCheckTable:
         expected = gp.eps_grid[gp.eps_grid < gp.smax * 0.95][-6:]
         assert rep.details["sigma_grid"] == expected.tolist()
 
+    def test_one_cz_operator_serves_both_cz_checks(self, monkeypatch):
+        built, init = [], CZOperator.__init__
+        monkeypatch.setattr(CZOperator, "__init__",
+                            lambda op, space, kernel: built.append(space) or init(op, space, kernel))
+        table = verify._check_table(merge_config(self.SMALL))
+        assert built == []
+        for name in ("reduction_cz", "commutator_cz"):
+            table[name]()
+        assert len(built) == 1
+
     def test_zero_slopes_match_zero_tables(self):
         exps, gp_in, gp_out = verify._potential_bundles(2.0, 0.25, 0.25, 1.0, 0.5, 0.0, 16)
         ref = AuxExponents.derive(2.0, 0.25, 0.25, theta1=1.0, delta=0.5)
@@ -677,7 +701,7 @@ class TestBatchedRatios:
                 ("potential", dict(params_in=gp_in, params_out=gp_out, exps=exps),
                  ("morrey_C", "grand_C"), np.nan)):
             rep = commutator_suite(CIRC32, kind, fc.samples, bc.samples, s=1.5,
-                                   kernel=conjugate_kernel(CIRC32), **kw)
+                                   operator=CZOperator(CIRC32, conjugate_kernel(CIRC32)), **kw)
             first, grand = reference_commutator_values(kind, fc.samples, bc.samples, **kw)
             for key, values, none in zip(keys, (first, grand), (empty, np.nan)):
                 half, full = verify._half_and_full(values, none)
@@ -699,7 +723,7 @@ class TestBatchedRatios:
                                          ident, gp, gp, sigma, fc.samples, u_name="T",
                                          lam_name="Id"),
                 commutator_suite(CIRC32, "cz", fc.samples, bc.samples, params_in=gp,
-                                 kernel=conjugate_kernel(CIRC32), s=1.5),
+                                 operator=CZOperator(CIRC32, conjugate_kernel(CIRC32)), s=1.5),
                 commutator_suite(CIRC32, "potential", fc.samples, bc.samples,
                                  params_in=gp_in, params_out=gp_out, exps=exps, s=1.5),
             ]).encode()
@@ -750,7 +774,7 @@ class TestStackedCallSites:
         for fc, bc in (with_zero_f_and_constant_b(16),
                        (small_corpus(CIRC32, 24, 7), make_corpus(CIRC32, "bmo", 5, 8))):
             rep = commutator_suite(CIRC32, "cz", fc.samples, bc.samples, params_in=gp,
-                                   kernel=conjugate_kernel(CIRC32), s=1.5)
+                                   operator=CZOperator(CIRC32, conjugate_kernel(CIRC32)), s=1.5)
             first, _ = reference_commutator_values("cz", fc.samples, bc.samples, gp)
             half, full = verify._half_and_full(first, 0.0)
             assert (rep.empirical["pointwise_C"], rep.empirical["pointwise_C_half"]) == (full, half)
@@ -771,6 +795,98 @@ class TestStackedCallSites:
                 for u, lam in ((op, ident),
                                (one_row_at_a_time_op(op), one_row_at_a_time_op(ident))))
             assert stacked == per_row, label
+
+
+def reference_dominance_constants(space, params, sigma_grid, samples):
+    """Per-sample loop of dominance_check: each sample's largest
+    Phi(f,s) phi(sigma)^(1/(p-sigma)) / Phi(f,sigma) over its sigma pairs."""
+    sig = np.asarray(sigma_grid, dtype=float)
+    sig = sig[(sig > 0) & (sig < params.smax)]
+    ev = GrandNormEvaluator(space, params)
+    cut = np.searchsorted(ev.grid, sig, side="left")
+    sig_w = params.phi(sig) ** (1.0 / (params.p - sig))
+    out = []
+    for f in samples:
+        best = 0.0
+        phis = np.maximum.accumulate(ev.weighted_vector(f))[cut - 1]
+        if phis[-1] > 0:
+            for i in range(sig.size - 1):
+                if phis[i] > 0:
+                    best = max(best, float((phis[i + 1:] * sig_w[i] / phis[i]).max()))
+        out.append(best)
+    return out
+
+
+def reference_reduction_empirical(space, U, Lam, params_in, params_out, sigma, samples):
+    """Per-sample loop of reduction_transfer_check with one-input sweeps: its
+    empirical dict and worst sample, or its HypothesisFailed."""
+    p, q = params_in.p, params_out.p
+    ev_in, ev_out = GrandNormEvaluator(space, params_in), GrandNormEvaluator(space, params_out)
+    eps_used = ev_in.grid[ev_in.grid < sigma]
+    cut = eps_used.size
+    c_eps, grand_ratio, c0, worst = np.zeros(cut), 0.0, 0.0, None
+    psig = params_out.phi(sigma) ** (1.0 / (q - sigma))
+    rows = np.asarray(samples, dtype=float).reshape(len(samples), space.n)
+    for i, (lf, uf) in enumerate(zip(Lam(rows), U(rows))):
+        mv_in, mv_out = ev_in.morrey_vector(lf), ev_out.morrey_vector(uf)
+        num, den = mv_out[:cut], mv_in[:cut]
+        dead = den <= 0
+        if np.any(dead & (num > 0)):
+            k = int(np.flatnonzero(dead & (num > 0))[0])
+            raise HypothesisFailed("per-eps-bound", (float(eps_used[k]), i))
+        c_eps[~dead] = np.maximum(c_eps[~dead], num[~dead] / den[~dead])
+        w_in = np.maximum.accumulate(ev_in.phi_pow * mv_in)
+        w_out = np.maximum.accumulate(ev_out.phi_pow * mv_out)
+        den_g, num_g = w_in[-1], w_out[-1]
+        if den_g > 0 and num_g / den_g > grand_ratio:
+            grand_ratio, worst = num_g / den_g, i
+        if w_out[cut - 1] > 0:
+            c0 = max(c0, num_g * psig / w_out[cut - 1])
+    wr = params_out.phi(eps_used) ** (1.0 / (q - eps_used)) / \
+        params_in.phi(eps_used) ** (1.0 / (p - eps_used))
+    bound = float(c_eps.max()) * params_in.phi(sigma) ** (-1.0 / (p - sigma)) * c0
+    return {"sup_C_eps": float(c_eps.max()), "weight_ratio_sup": float(wr.max()),
+            "grand_ratio": grand_ratio, "C0_emp": c0, "bound": bound}, worst
+
+
+def per_sample_corpora():
+    """Corpora with a zero sample, an all-zero and an empty stack, and the
+    spike and step families."""
+    fc, bc = with_zero_f_and_constant_b(16)
+    return {"zero_f": fc.samples, "constant_b": bc.samples,
+            "all_zero": np.zeros((4, 32)), "empty": np.zeros((0, 32)),
+            "spikes": make_corpus(CIRC32, "spikes", 24, 51).samples,
+            "steps": make_corpus(CIRC32, "steps", 24, 52).samples}
+
+
+class TestPerSampleReferences:
+    """dominance_check and reduction_transfer_check reduce per-sample arrays;
+    their reports equal those of the per-sample loops they replaced."""
+
+    @pytest.mark.parametrize("name", sorted(per_sample_corpora()))
+    def test_dominance_matches_per_sample_loop(self, name):
+        samples = per_sample_corpora()[name]
+        gp = GrandParams.power(2.0, 0.25, 1.0, max_points=10, ratio=0.7)
+        sig = gp.eps_grid[1:7]
+        rep = dominance_check(CIRC32, gp, sig, samples)
+        consts = reference_dominance_constants(CIRC32, gp, sig, samples)
+        full, half, drift = verify._stability(0.0, C=consts)
+        assert rep.empirical == {"C_emp": full["C"], "C_half_corpus": half["C_half"],
+                                 "drift": drift}
+        assert rep.passed == (drift <= 0.05)
+
+    @pytest.mark.parametrize("name", sorted(per_sample_corpora()))
+    def test_reduction_matches_per_sample_loop(self, name):
+        samples = per_sample_corpora()[name]
+        gp = GrandParams.power(2.0, 0.25, 1.0, max_points=8, ratio=0.7)
+        sigma = float(gp.eps_grid[-2])
+        ident = lambda f: np.asarray(f, dtype=float)
+        for op in (lambda f: maximal(CIRC32, f), CZOperator(CIRC32, conjugate_kernel(CIRC32))):
+            rep = reduction_transfer_check(CIRC32, op, ident, gp, gp, sigma, samples)
+            empirical, worst = reference_reduction_empirical(CIRC32, op, ident, gp, gp,
+                                                             sigma, samples)
+            assert (rep.empirical, rep.worst_sample) == (empirical, worst)
+            assert rep.passed == (empirical["grand_ratio"] <= empirical["bound"] * (1 + 1e-9))
 
 
 def reference_eta_residuals(n_draws, seed):
@@ -951,7 +1067,7 @@ def commutator_reports(fs, bs):
     exps, gp_in, gp_out = verify._potential_bundles(2.0, 0.25, 0.25, 1.0, 0.5, 0.05, 8)
     return [
         commutator_suite(CIRC32, "cz", fs, bs, params_in=gp,
-                         kernel=conjugate_kernel(CIRC32), s=1.5),
+                         operator=CZOperator(CIRC32, conjugate_kernel(CIRC32)), s=1.5),
         commutator_suite(CIRC32, "potential", fs, bs, params_in=gp_in, params_out=gp_out,
                          exps=exps, s=1.5),
     ]
