@@ -225,32 +225,18 @@ class BallFamily:
         n = space.n
         order = np.argsort(d, axis=1, kind="stable")
         sd = np.take_along_axis(d, order, axis=1)
-        sw = w[order]
-        cumw = np.cumsum(sw, axis=1)
-
-        radii_rows, count_rows, mu_rows = [], [], []
-        for c in range(n):
-            row = sd[c]
-            # Rank boundaries: last index of each run of equal distances.
-            ends = np.flatnonzero(np.diff(row) != 0)
-            ends = np.concatenate([ends, [n - 1]])
-            radii_rows.append(row[ends])
-            count_rows.append(ends + 1)
-            mu_rows.append(cumw[c, ends])
-
-        n_ranks = np.array([len(r) for r in radii_rows], dtype=np.int64)
+        # Rank boundaries: the last position of each run of equal distances.
+        last = np.ones((n, n), dtype=bool)
+        np.not_equal(np.diff(sd, axis=1), 0, out=last[:, :-1])
+        n_ranks = last.sum(axis=1, dtype=np.int64)
         rmax = int(n_ranks.max())
-        radii = np.empty((n, rmax))
-        counts = np.empty((n, rmax), dtype=np.int64)
-        measures = np.empty((n, rmax))
-        for c in range(n):
-            k = n_ranks[c]
-            radii[c, :k] = radii_rows[c]
-            counts[c, :k] = count_rows[c]
-            measures[c, :k] = mu_rows[c]
-            radii[c, k:] = radii_rows[c][-1]
-            counts[c, k:] = count_rows[c][-1]
-            measures[c, k:] = mu_rows[c][-1]
+        # chains shorter than rmax end at position n - 1, the full space
+        ends = np.full((n, rmax), n - 1, dtype=np.int64)
+        ends[np.arange(rmax) < n_ranks[:, None]] = np.nonzero(last)[1]
+        del last
+        radii = np.take_along_axis(sd, ends, axis=1)
+        measures = np.take_along_axis(np.cumsum(w[order], axis=1), ends, axis=1)
+        counts = ends + 1
         for a in (order, radii, counts, measures, n_ranks):
             a.setflags(write=False)
         return BallFamily(d, w, order, radii, counts, measures, n_ranks)
@@ -296,14 +282,14 @@ class BallFamily:
         and makes the smallest denominator the atom's own mass.
         """
         if self._open_mu is None:
-            n = self.dist.shape[0]
-            w = self.weight
+            n = self.order.shape[0]
+            # each shell gets the measure of the ball before it, rank 0 the atom's weight
+            before = np.concatenate([self.weight[:, None], self.measures[:, :-1]], axis=1)
+            sizes = np.diff(self.counts, axis=1, prepend=0)
+            by_distance = np.repeat(before.ravel(), sizes.ravel()).reshape(n, n)
+            del before, sizes  # at most two N x N tables are held below
             out = np.empty((n, n))
-            for c in range(n):
-                radii = self.radii_of(c)
-                rk = np.searchsorted(radii, self.dist[c], side="left")
-                mu = np.where(rk > 0, self.measures[c, np.maximum(rk - 1, 0)], w[c])
-                out[c] = mu
+            np.put_along_axis(out, self.order, by_distance, axis=1)
             out.setflags(write=False)
             self._open_mu = out
         return self._open_mu
@@ -527,15 +513,13 @@ def check_annulus(space: DiscreteHomSpace) -> AnnulusReport:
     failures are reported as witness triples, never raised.
     """
     bf = space.balls
-    d_x = space.diameter
-    witnesses = []
-    for c in range(space.n):
-        radii = bf.radii_of(c)
-        mus = bf.measures[c, : len(radii)]
-        sel = np.flatnonzero((radii > 0) & (radii < d_x))
-        for a, b in zip(sel[:-1], sel[1:]):
-            if not mus[b] > mus[a]:
-                witnesses.append((c, float(radii[a]), float(radii[b])))
+    radii, mus = bf.radii, bf.measures
+    live = np.arange(radii.shape[1]) < bf.n_ranks[:, None]
+    # radii ascend along a chain, so a center's selected ranks are contiguous
+    sel = live & (radii > 0) & (radii < space.diameter)
+    bad = sel[:, :-1] & sel[:, 1:] & ~(mus[:, 1:] > mus[:, :-1])
+    witnesses = [(int(c), float(radii[c, a]), float(radii[c, a + 1]))
+                 for c, a in np.argwhere(bad)]
     note = ("closed-ball realized-radius convention: annuli between distinct "
             "ranks contain the atoms at the outer radius")
     return AnnulusReport(passed=not witnesses, witnesses=witnesses, note=note)

@@ -103,14 +103,19 @@ def kernel_from_matrix(space: DiscreteHomSpace, matrix, name: str = "custom",
                        modulus: TabulatedFunction | None = None,
                        size_constant: float | None = None) -> KernelSpec:
     """Wrap a dense kernel table; the size constant defaults to the smallest
-    C satisfying |K(x,y)| <= C / mu{z: d(x,z) < d(x,y)} on the stored pairs."""
+    C satisfying |K(x,y)| <= C / mu{z: d(x,z) < d(x,y)} on the stored pairs.
+    A non-finite off-diagonal entry raises ValueError."""
     m = np.asarray(matrix, dtype=float)
     if m.shape != (space.n, space.n):
         raise ValueError("kernel table shape does not match the space")
     modulus = modulus or _default_modulus()
     lhs = np.abs(m) * space.balls.open_measure
-    np.fill_diagonal(lhs, 0.0)  # entries are >= 0 or NaN: a 0 diagonal drops out of the max
-    c = float(lhs.max()) if size_constant is None else float(size_constant)
+    np.fill_diagonal(lhs, 0.0)  # the diagonal is never applied: a 0 drops out of the max
+    top = float(lhs.max())
+    if not math.isfinite(top):
+        i, j = map(int, np.argwhere(~np.isfinite(lhs))[0])
+        raise ValueError(f"kernel entry K({i},{j}) = {m[i, j]} is not finite")
+    c = top if size_constant is None else float(size_constant)
     del lhs  # not held while KernelSpec copies the matrix
     d2 = float(np.max(modulus(2.0 * modulus.xs) / modulus(modulus.xs)))
     dini = dini_integral(modulus).integral
@@ -150,7 +155,7 @@ def validate_kernel(space: DiscreteHomSpace, kernel: KernelSpec) -> None:
     """Check the size condition |K(x,y)| <= C / mu B(x,d(x,y)) pairwise."""
     open_mu = space.balls.open_measure
     lhs = np.abs(kernel.matrix) * open_mu
-    bad = lhs > kernel.size_constant * (1.0 + 1e-12) + 1e-300
+    bad = ~(lhs <= kernel.size_constant * (1.0 + 1e-12) + 1e-300)  # NaN is a violation
     np.fill_diagonal(bad, False)
     if np.any(bad):
         i, j = map(int, np.argwhere(bad)[0])

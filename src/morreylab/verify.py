@@ -132,6 +132,8 @@ def dominance_check(space: DiscreteHomSpace, params: GrandParams, sigma_grid,
     sig = sig[(sig > 0) & (sig < params.smax)]
     if sig.size < 2:
         raise ValueError("need at least two sigma grid points below s_max")
+    if np.any(np.diff(sig) <= 0):
+        raise ValueError("sigma grid must be strictly increasing")
     ev = GrandNormEvaluator(space, params)
     cut = np.searchsorted(ev.grid, sig, side="left")
     if np.any(cut == 0):
@@ -139,7 +141,7 @@ def dominance_check(space: DiscreteHomSpace, params: GrandParams, sigma_grid,
     sig_w = params.phi(sig) ** (1.0 / (params.p - sig))
     # (M, S): Phi(f, s) over grid points strictly < s, per sample and sigma
     phis = np.maximum.accumulate(ev.weighted_vector(_stack(space, samples)), axis=1)[:, cut - 1]
-    i, j = np.triu_indices(sig.size, k=1)  # pairs i < j: sigma_i < sigma_j on an ascending grid
+    i, j = np.triu_indices(sig.size, k=1)  # pairs i < j: sigma_i < sigma_j
     live = phis[:, i] > 0  # a zero sample has no live pair and counts 0
     pair = np.divide(phis[:, j] * sig_w[i], phis[:, i], out=np.zeros(live.shape), where=live)
     full, half, drift = _stability(0.0, C=np.max(pair, axis=1, initial=0.0))

@@ -56,6 +56,73 @@ STACK_SPACES = {
 }
 
 
+def reference_ball_family(space):
+    """(order, radii, counts, measures, n_ranks) from the per-center loops
+    that BallFamily.build replaced, kept verbatim as its reference."""
+    d, w = space.dist, space.weight
+    n = space.n
+    order = np.argsort(d, axis=1, kind="stable")
+    sd = np.take_along_axis(d, order, axis=1)
+    sw = w[order]
+    cumw = np.cumsum(sw, axis=1)
+
+    radii_rows, count_rows, mu_rows = [], [], []
+    for c in range(n):
+        row = sd[c]
+        # Rank boundaries: last index of each run of equal distances.
+        ends = np.flatnonzero(np.diff(row) != 0)
+        ends = np.concatenate([ends, [n - 1]])
+        radii_rows.append(row[ends])
+        count_rows.append(ends + 1)
+        mu_rows.append(cumw[c, ends])
+
+    n_ranks = np.array([len(r) for r in radii_rows], dtype=np.int64)
+    rmax = int(n_ranks.max())
+    radii = np.empty((n, rmax))
+    counts = np.empty((n, rmax), dtype=np.int64)
+    measures = np.empty((n, rmax))
+    for c in range(n):
+        k = n_ranks[c]
+        radii[c, :k] = radii_rows[c]
+        counts[c, :k] = count_rows[c]
+        measures[c, :k] = mu_rows[c]
+        radii[c, k:] = radii_rows[c][-1]
+        counts[c, k:] = count_rows[c][-1]
+        measures[c, k:] = mu_rows[c][-1]
+    return order, radii, counts, measures, n_ranks
+
+
+def reference_open_measure(space):
+    """The per-center searchsorted loop that BallFamily.open_measure replaced,
+    over the reference family's tables."""
+    _, radii_table, _, measures, n_ranks = reference_ball_family(space)
+    n = space.n
+    w = space.weight
+    out = np.empty((n, n))
+    for c in range(n):
+        radii = radii_table[c, : n_ranks[c]]
+        rk = np.searchsorted(radii, space.dist[c], side="left")
+        mu = np.where(rk > 0, measures[c, np.maximum(rk - 1, 0)], w[c])
+        out[c] = mu
+    return out
+
+
+def reference_annulus_witnesses(space):
+    """The witness triples of the per-center loop that check_annulus
+    replaced, over the reference family's tables."""
+    _, radii_table, _, measures, n_ranks = reference_ball_family(space)
+    d_x = space.diameter
+    witnesses = []
+    for c in range(space.n):
+        radii = radii_table[c, : n_ranks[c]]
+        mus = measures[c, : len(radii)]
+        sel = np.flatnonzero((radii > 0) & (radii < d_x))
+        for a, b in zip(sel[:-1], sel[1:]):
+            if not mus[b] > mus[a]:
+                witnesses.append((c, float(radii[a]), float(radii[b])))
+    return witnesses
+
+
 def reference_ball_sums(space, v):
     """(N, R) table of sum(v over ball) per (center, rank): the dense
     cumulative sum that the shell sweep replaced."""

@@ -164,6 +164,17 @@ class TestOpCommand:
         # Tf(x) = K(x,0) * 1 * (1/3) off the diagonal
         assert payload["values"] == pytest.approx([0.0, 1 / 3, 2 / 3])
 
+    @pytest.mark.parametrize("bad", ["NaN", "Infinity"])
+    def test_non_finite_kernel_file_is_usage_error(self, capsys, tmp_path, bad):
+        f = tmp_path / "f.json"
+        f.write_text("[1.0, 0.0]")
+        kern = tmp_path / "k.json"
+        kern.write_text(f"[[0, {bad}], [1, 0]]")
+        code, out, err = run(capsys, "op", "--grid", "2", "--op", "cz",
+                             "--kernel-file", str(kern), "--f", str(f))
+        assert code == 2 and not out
+        assert "error: kernel entry K(0,1)" in err and "not finite" in err
+
     def test_kernel_file_shape_mismatch(self, capsys, tmp_path):
         f = tmp_path / "f.json"
         f.write_text("[1.0, 0.0, 0.0]")

@@ -1,5 +1,6 @@
 import gc
 import json
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from morreylab.homspace import (DegenerateFit, NonPositiveWeight,
+from morreylab.homspace import (DegenerateFit, DiscreteHomSpace, NonPositiveWeight,
                                 QuasiTriangleViolation, SpaceValidationError,
                                 SymmetryViolation,
                                 ZeroDistanceOffDiagonal, build_from_table,
@@ -16,7 +17,18 @@ from morreylab.homspace import (DegenerateFit, NonPositiveWeight,
                                 load_space_csv, load_space_json,
                                 reverse_doubling_exponent, space_from_points)
 
-from conftest import random_cloud
+from conftest import (STACK_SPACES, random_cloud, reference_annulus_witnesses,
+                      reference_ball_family, reference_open_measure)
+
+# the stack spaces, two atoms, and a table accepted only with cs > 1 whose
+# rows rank the atoms differently (row 0 ties two atoms at its diameter)
+FAMILY_SPACES = {
+    **STACK_SPACES,
+    "two-atom": lambda: build_from_table([[0.0, 1.0], [1.0, 0.0]], [0.5, 0.5]),
+    "asymmetric-cs2": lambda: build_from_table(
+        [[0, 1, 2, 2], [1.5, 0, 1, 3], [2, 1.5, 0, 1], [3, 2, 1.5, 0]],
+        [0.1, 0.2, 0.3, 0.4], ct=2.0, cs=2.0),
+}
 
 
 class TestBuilders:
@@ -197,6 +209,29 @@ class TestBallFamily:
                 oracle = set(np.flatnonzero(cloud20.dist[c] <= rho).tolist())
                 assert set(bf.members(c, k).tolist()) == oracle
 
+    @pytest.mark.parametrize("name", list(FAMILY_SPACES))
+    def test_tables_match_reference_loops(self, name):
+        sp = FAMILY_SPACES[name]()
+        bf = sp.balls
+        want = (*reference_ball_family(sp), reference_open_measure(sp))
+        got = (bf.order, bf.radii, bf.counts, bf.measures, bf.n_ranks, bf.open_measure)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and np.array_equal(g, w)
+            assert not g.flags.writeable
+        assert check_annulus(sp).witnesses == reference_annulus_witnesses(sp) == []
+
+    def test_open_measure_holds_at_most_two_tables(self):
+        sp = build_uniform_grid(512, 1, "circle")
+        bf = sp.balls
+        tracemalloc.start()
+        try:
+            bf.open_measure
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the output and the values in distance order, plus half a table of slack
+        assert peak <= 2.5 * 8 * sp.n**2, peak
+
     def test_open_measure_matrix(self, two_atom, grid3):
         om = two_atom.balls.open_measure
         assert np.allclose(np.diag(om), two_atom.weight)
@@ -284,6 +319,17 @@ class TestAnnulus:
         rep = check_annulus(grid3)
         assert rep.passed
         assert "closed-ball" in rep.note
+
+    def test_witnesses_match_reference_loop(self):
+        # zero weight at atoms 2 and 3 empties some annuli; validate() would
+        # reject the space, and a valid space has no witnesses
+        x = np.arange(6.0)
+        sp = DiscreteHomSpace(np.abs(x[:, None] - x[None, :]), [1, 1, 0, 0, 1, 1])
+        rep = check_annulus(sp)
+        assert not rep.passed
+        assert rep.witnesses[:2] == [(0, 1.0, 2.0), (0, 2.0, 3.0)]
+        assert rep.witnesses == reference_annulus_witnesses(sp)
+        assert all(type(c) is int for c, _, _ in rep.witnesses)
 
     def test_empty_open_annulus_passes_closed_convention(self):
         # colinear points at 0, 1, 3: the open annulus between radii 2 and 3

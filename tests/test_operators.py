@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -304,13 +305,12 @@ class TestCZ:
         circle = build_uniform_grid(1024, 1, "circle")
         grid64 = build_uniform_grid(64, 1, "interval")
         rough = np.random.default_rng(3).normal(size=(16, 16))
-        nan_diag, inf_diag, nan_off = rough.copy(), rough.copy(), rough.copy()
+        nan_diag, inf_diag = rough.copy(), rough.copy()
         np.fill_diagonal(nan_diag, np.nan)
         np.fill_diagonal(inf_diag, np.inf)
-        nan_off[2, 5] = np.nan
         cases = [(circle, conjugate_kernel(circle).matrix),
                  (grid64, hilbert_kernel(grid64).matrix),
-                 (grid16, nan_diag), (grid16, inf_diag), (grid16, nan_off),
+                 (grid16, nan_diag), (grid16, inf_diag),
                  (build_from_table([[0.0]], [1.0]), np.array([[7.0]]))]
         for space, m in cases:
             got = kernel_from_matrix(space, m).size_constant
@@ -440,6 +440,24 @@ class TestKernelSpec:
         kern = conjugate_kernel(circle32)
         assert kern.dini_value == pytest.approx(1.0, abs=1e-9)
         assert kern.delta2_constant == pytest.approx(2.0, rel=1e-6)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_entry_rejected(self, grid3, bad):
+        m = np.ones((3, 3))
+        m[1, 2] = bad
+        for size_constant in (None, 10.0):
+            with pytest.raises(ValueError, match=r"K\(1,2\) = .* is not finite"):
+                kernel_from_matrix(grid3, m, size_constant=size_constant)
+
+    @pytest.mark.parametrize("field", ["matrix", "size_constant"])
+    def test_nan_product_is_a_size_violation(self, grid3, field):
+        kern = kernel_from_matrix(grid3, np.ones((3, 3)))
+        m = np.ones((3, 3))
+        m[1, 2] = np.nan
+        bad = dataclasses.replace(kern, **{field: m if field == "matrix" else np.nan})
+        with pytest.raises(KernelSizeViolation) as info:
+            validate_kernel(grid3, bad)
+        assert info.value.witness == ((1, 2) if field == "matrix" else (0, 1))
 
     def test_shape_mismatch(self, grid3):
         with pytest.raises(ValueError):

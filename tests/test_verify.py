@@ -76,6 +76,17 @@ class TestDominance:
         with pytest.raises(ValueError):
             dominance_check(CIRC32, gp, gp.eps_grid[:1], np.ones((1, 32)))
 
+    def test_sigma_grid_must_ascend(self):
+        # a descending grid would measure Phi(f,s)/Phi(f,sigma) for sigma > s
+        gp = GrandParams.power(2.0, 0.25, 1.0, max_points=10, ratio=0.7)
+        rows = make_corpus(CIRC32, "mixed", 12, 0).samples
+        sig = gp.eps_grid[1:7]
+        assert dominance_check(CIRC32, gp, sig, rows).empirical["C_emp"] \
+            == pytest.approx(0.4453, abs=5e-5)
+        for bad in (sig[::-1], np.r_[sig[:3], sig[2:]]):
+            with pytest.raises(ValueError, match="strictly increasing"):
+                dominance_check(CIRC32, gp, bad, rows)
+
     def test_stability_on_corpus(self):
         gp = GrandParams.power(2.0, 0.25, 1.0, max_points=10, ratio=0.7)
         sig = gp.eps_grid[2:8]
