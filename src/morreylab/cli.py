@@ -6,14 +6,14 @@ Subcommands:
   op      apply an operator and emit its values
   verify  run verification suites from a config file (or the defaults)
 
-Exit codes: 0 all checks passed, 1 a verification failed, 2 usage or
-config error.  Identical (config, seed) pairs produce byte-identical JSON.
+Exit codes: 0 all checks passed, 1 a verification or a space axiom failed,
+2 usage, config or input-file error.  Identical (config, seed) pairs
+produce byte-identical JSON.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
 import sys
 from pathlib import Path
@@ -28,81 +28,51 @@ USAGE_ERROR = 2
 CHECK_FAILURE = 1
 
 
-class CliError(Exception):
-    def __init__(self, message, code=USAGE_ERROR):
-        super().__init__(message)
-        self.code = code
+def _emit(payload):
+    print(json.dumps(payload, indent=2, sort_keys=True))
 
 
-def _emit(payload, fmt: str = "json"):
-    if fmt == "json":
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        if isinstance(payload, dict):
-            for k, v in payload.items():
-                print(f"{k},{v}")
-        else:
-            print(payload)
+def _read(path: str, what: str, parse=json.loads):
+    """`parse` of a function, kernel or config file's text; a parse failure
+    raises ValueError naming the file (FileNotFoundError names it too)."""
+    try:
+        return parse(Path(path).read_text())
+    except (ValueError, TypeError) as exc:
+        raise ValueError(f"cannot parse {what} file {path}: {exc}") from exc
+
+
+def _json_floats(text: str) -> np.ndarray:
+    return np.asarray(json.loads(text), dtype=float)
+
+
+def _csv_column(text: str) -> np.ndarray:
+    return np.asarray([float(line.split(",")[0]) for line in text.splitlines()
+                       if line.strip() and not line.lstrip().startswith("#")])
 
 
 def load_space(args) -> DiscreteHomSpace:
-    if getattr(args, "grid", None):
-        return homspace.build_uniform_grid(args.grid, 1, "interval")
-    if getattr(args, "circle", None):
-        return homspace.build_uniform_grid(args.circle, 1, "circle")
-    path = getattr(args, "space", None)
-    if not path:
-        raise CliError("no space given: use --grid N, --circle N, or --space FILE")
-    p = Path(path)
-    if not p.exists():
-        raise CliError(f"space file not found: {path}")
-    try:
-        if p.suffix.lower() == ".csv":
-            return homspace.load_space_csv(p)
-        return homspace.load_space_json(p)
-    except SpaceValidationError:
-        raise
-    except (json.JSONDecodeError, ValueError, KeyError) as exc:
-        raise CliError(f"cannot parse space file {path}: {exc}") from exc
+    """The space of --grid N, --circle N or --space FILE, by `verify.build_space`."""
+    if args.grid:
+        spec = {"kind": "grid", "n": args.grid}
+    elif args.circle:
+        spec = {"kind": "circle", "n": args.circle}
+    elif args.space:
+        spec = {"kind": "file", "path": args.space}
+    else:
+        raise ValueError("no space given: use --grid N, --circle N, or --space FILE")
+    return verify.build_space(spec)
 
 
 def load_values(space: DiscreteHomSpace, path: str) -> np.ndarray:
-    p = Path(path)
-    if not p.exists():
-        raise CliError(f"function file not found: {path}")
-    try:
-        if p.suffix.lower() == ".csv":
-            vals = [float(line.split(",")[0]) for line in p.read_text().splitlines()
-                    if line.strip() and not line.lstrip().startswith("#")]
-        else:
-            vals = json.loads(p.read_text())
-    except (json.JSONDecodeError, ValueError) as exc:
-        raise CliError(f"cannot parse function file {path}: {exc}") from exc
-    arr = np.asarray(vals, dtype=float)
+    parse = _csv_column if Path(path).suffix.lower() == ".csv" else _json_floats
+    arr = _read(path, "function", parse)
     if arr.shape != (space.n,):
-        raise CliError(f"function length {arr.shape} does not match space n={space.n}")
+        raise ValueError(f"function length {arr.shape} does not match space n={space.n}")
     return arr
 
 
-@contextlib.contextmanager
-def _usage_errors():
-    """A ValueError of a norm or operator computation (a parameter out of
-    range, a non-finite value) as a usage error, exit 2; axiom violations
-    keep exit 1."""
-    try:
-        yield
-    except SpaceValidationError:
-        raise
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
-
-
 def cmd_space(args) -> int:
-    try:
-        space = load_space(args)
-    except SpaceValidationError as exc:
-        print(f"axiom violation: {exc}", file=sys.stderr)
-        return CHECK_FAILURE
+    space = load_space(args)
     report = {"n": space.n, "ct": space.ct, "cs": space.cs,
               "diameter": space.diameter, "total_measure": space.total_measure}
     checks = args.check or ["all"]
@@ -121,20 +91,19 @@ def cmd_space(args) -> int:
         report["annulus"] = {"passed": ann.passed,
                              "witnesses": ann.witnesses, "note": ann.note}
         ok = ok and ann.passed
-    _emit(report, args.format)
+    _emit(report)
     return 0 if ok else CHECK_FAILURE
 
 
 _NORM_NAMES = ("lp", "morrey", "bmo", "grand_lebesgue", "grand_morrey")
 
 
-@_usage_errors()
 def cmd_norm(args) -> int:
     space = load_space(args)
     f = load_values(space, args.f) if args.f else np.zeros(space.n)
     name = args.norm
     if name not in _NORM_NAMES:
-        raise CliError(f"unknown norm {name!r}; choose from {_NORM_NAMES}")
+        raise ValueError(f"unknown norm {name!r}; choose from {_NORM_NAMES}")
     params = {"p": args.p}
     argmax = {"eps": None, "center": None, "radius_rank": None}
     if name == "lp":
@@ -161,12 +130,10 @@ def cmd_norm(args) -> int:
         res = funcnorm.grand_morrey_norm_detail(space, f, gp)
         value = res.value
         argmax.update(eps=res.eps, center=res.center, radius_rank=res.rank)
-    _emit({"norm": name, "params": params, "value": value, "argmax": argmax},
-          args.format)
+    _emit({"norm": name, "params": params, "value": value, "argmax": argmax})
     return 0
 
 
-@_usage_errors()
 def cmd_op(args) -> int:
     space = load_space(args)
     f = load_values(space, args.f)
@@ -181,16 +148,10 @@ def cmd_op(args) -> int:
         out = operators.sharp_maximal(space, f)
     elif name == "cz":
         if args.kernel_file:
-            path = Path(args.kernel_file)
-            if not path.exists():
-                raise CliError(f"kernel file not found: {args.kernel_file}")
-            try:
-                table = np.asarray(json.loads(path.read_text()), dtype=float)
-            except (json.JSONDecodeError, ValueError) as exc:
-                raise CliError(f"cannot parse kernel file: {exc}") from exc
+            table = _read(args.kernel_file, "kernel", _json_floats)
             if table.shape != (space.n, space.n):
-                raise CliError(f"kernel table shape {table.shape} does not "
-                               f"match space n={space.n}")
+                raise ValueError(f"kernel table shape {table.shape} does not "
+                                 f"match space n={space.n}")
             kern = operators.kernel_from_matrix(space, table, name="file")
             params["kernel"] = "file"
         else:
@@ -198,34 +159,20 @@ def cmd_op(args) -> int:
                     else operators.hilbert_kernel(space))
             params["kernel"] = args.kernel
         out = operators.cz_apply(space, kern, f)
-    elif name == "potential":
+    else:  # "potential", the last of --op's choices
         out = operators.potential_apply(space, f, args.alpha)
         params["alpha"] = args.alpha
-    else:
-        raise CliError(f"unknown operator {name!r}")
-    _emit({"op": name, "params": params, "values": out.tolist()}, args.format)
+    _emit({"op": name, "params": params, "values": out.tolist()})
     return 0
 
 
 def cmd_verify(args) -> int:
-    if args.config:
-        path = Path(args.config)
-        if not path.exists():
-            raise CliError(f"config file not found: {args.config}")
-        try:
-            user_cfg = json.loads(path.read_text())
-        except json.JSONDecodeError as exc:
-            raise CliError(f"config is not valid JSON: {exc}") from exc
-        if not isinstance(user_cfg, dict):
-            raise CliError("config must be a JSON object")
-    else:
-        user_cfg = {}
+    user_cfg = _read(args.config, "config") if args.config else {}
+    if not isinstance(user_cfg, dict):
+        raise ValueError(f"config file {args.config} must hold a JSON object")
     if args.seed is not None:
         user_cfg["seed"] = args.seed
-    try:
-        reports = verify.run_suite(user_cfg)
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    reports = verify.run_suite(user_cfg)
     out_dir = Path(args.out or ".")
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "reports.json").write_text(verify.reports_to_json(reports))
@@ -247,7 +194,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--space", help="space file (JSON table or CSV point cloud)")
         p.add_argument("--grid", type=int, help="uniform interval grid with N points")
         p.add_argument("--circle", type=int, help="uniform circle with N points")
-        p.add_argument("--format", choices=("json", "csv"), default="json")
 
     ps = sub.add_parser("space", help="validate a space and report diagnostics")
     add_space_args(ps)
@@ -295,12 +241,12 @@ def main(argv=None) -> int:
         return USAGE_ERROR if exc.code not in (0,) else 0
     try:
         return args.fn(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.code
     except SpaceValidationError as exc:
         print(f"axiom violation: {exc}", file=sys.stderr)
         return CHECK_FAILURE
+    except (ValueError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return USAGE_ERROR
 
 
 if __name__ == "__main__":

@@ -197,18 +197,17 @@ class BallFamily:
     first `counts[c, k]` entries of it.  The (N, R) `radii`, `counts` and
     `measures` are padded to the widest chain by repeating the full-space
     entry, so vectorized maxima over ranks are unaffected.  It keeps the
-    space's `dist` and `weight`, not the space, so the cached family forms
-    no reference cycle and is freed with its space.  `memo` holds the norm
+    space's `weight`, not the space, so the cached family forms no
+    reference cycle and is freed with its space.  `memo` holds the norm
     layers' per-space result memos, one entry per kind of result, so they
     too live exactly as long as the space.  `open_measure` and `step_table`
     are built on first use.
     """
 
-    __slots__ = ("dist", "weight", "order", "radii", "counts",
+    __slots__ = ("weight", "order", "radii", "counts",
                  "measures", "n_ranks", "memo", "_open_mu", "_steps")
 
-    def __init__(self, dist, weight, order, radii, counts, measures, n_ranks):
-        self.dist = dist
+    def __init__(self, weight, order, radii, counts, measures, n_ranks):
         self.weight = weight
         self.order = order
         self.radii = radii
@@ -239,7 +238,7 @@ class BallFamily:
         counts = ends + 1
         for a in (order, radii, counts, measures, n_ranks):
             a.setflags(write=False)
-        return BallFamily(d, w, order, radii, counts, measures, n_ranks)
+        return BallFamily(w, order, radii, counts, measures, n_ranks)
 
     def radii_of(self, center: int) -> np.ndarray:
         return self.radii[center, : self.n_ranks[center]]
@@ -458,50 +457,57 @@ def reverse_doubling_exponent(space: DiscreteHomSpace) -> tuple[float, float]:
     """
     bf = space.balls
     half = 0.5 * space.total_measure
-    fullest: dict[float, float] = {}
-    for c in range(space.n):
+    # the fullest ball at each realized radius; a chain's padding repeats
+    # its own full-space entry, so it changes no maximum
+    keys, inv = np.unique(bf.radii, return_inverse=True)
+    fullest = np.zeros(keys.size)
+    np.maximum.at(fullest, inv.ravel(), bf.measures.ravel())
+
+    def chain(c):
+        """Radii and measures of center c's balls of positive radius."""
         radii = bf.radii_of(c)
-        mus = bf.measures[c, : len(radii)]
-        for rv, mv in zip(radii, mus):
-            key = float(rv)
-            if mv > fullest.get(key, 0.0):
-                fullest[key] = float(mv)
-    all_rows = []
+        keep = radii > 0
+        return radii[keep], bf.measures[c, : radii.size][keep]
+
+    def nested_pairs(lx, ly):
+        """(log r/R, log mu B(x,r)/mu B(x,R)) over one center's pairs r < R."""
+        iu = np.triu_indices(lx.size, k=1)
+        return (lx[:, None] - lx[None, :])[iu], (ly[:, None] - ly[None, :])[iu]
+
+    # pass 1: pair count, fallback sums and window pairs, holding one center's
+    # O(R^2) nested pairs at a time; pass 2 forms them again for the envelope
+    npairs, sxx, sxy = 0, 0.0, 0.0
     fit_x, fit_y = [], []
     for c in range(space.n):
-        radii = bf.radii_of(c)
-        mus = bf.measures[c, : len(radii)]
-        mask = radii > 0
-        r, m = radii[mask], mus[mask]
+        r, m = chain(c)
         if r.size < 2:
             continue
-        lx = np.log(r)
-        ly = np.log(m)
-        iu = np.triu_indices(r.size, k=1)
-        all_rows.append(((lx[:, None] - lx[None, :])[iu],
-                         (ly[:, None] - ly[None, :])[iu]))
-        lo = np.flatnonzero((r >= 2.0 * r[0]) & (2.0 * r <= r[-1]))
-        for i in lo:
-            j = int(np.clip(np.searchsorted(r, 2.0 * r[i]), 1, r.size - 1))
-            if abs(r[j - 1] - 2.0 * r[i]) <= abs(r[j] - 2.0 * r[i]):
-                j -= 1
-            if (j > i and m[j] <= half
-                    and m[i] >= 0.95 * fullest[float(r[i])]
-                    and m[j] >= 0.95 * fullest[float(r[j])]):
-                fit_x.append(lx[i] - lx[j])
-                fit_y.append(ly[i] - ly[j])
-    npairs = sum(x.size for x, _ in all_rows)
+        lx, ly = np.log(r), np.log(m)
+        x, y = nested_pairs(lx, ly)
+        npairs += x.size
+        sxx += float((x * x).sum())
+        sxy += float((x * y).sum())
+        # each r in the window and the realized radius nearest 2r (the lower on a tie)
+        i = np.flatnonzero((r >= 2.0 * r[0]) & (2.0 * r <= r[-1]))
+        j = np.clip(np.searchsorted(r, 2.0 * r[i]), 1, r.size - 1)
+        j = j - (np.abs(r[j - 1] - 2.0 * r[i]) <= np.abs(r[j] - 2.0 * r[i]))
+        full = 0.95 * fullest[np.searchsorted(keys, r)]
+        keep = (j > i) & (m[j] <= half) & (m[i] >= full[i]) & (m[j] >= full[j])
+        fit_x.append(lx[i[keep]] - lx[j[keep]])
+        fit_y.append(ly[i[keep]] - ly[j[keep]])
     if npairs < 2:
         raise DegenerateFit(f"only {npairs} nested realized pair(s)")
-    if len(fit_x) >= 2:
-        x = np.asarray(fit_x)
-        y = np.asarray(fit_y)
+    if sum(x.size for x in fit_x) >= 2:
+        x, y = np.concatenate(fit_x), np.concatenate(fit_y)
         gamma = float((x * y).sum() / (x * x).sum())
     else:
-        sxx = sum(float((x * x).sum()) for x, _ in all_rows)
-        sxy = sum(float((x * y).sum()) for x, y in all_rows)
         gamma = sxy / sxx
-    resid = max(float((y - gamma * x).max()) for x, y in all_rows)
+    resid = -math.inf
+    for c in range(space.n):
+        r, m = chain(c)
+        if r.size >= 2:
+            x, y = nested_pairs(np.log(r), np.log(m))
+            resid = max(resid, float((y - gamma * x).max()))
     return max(math.exp(resid), 1.0), gamma
 
 

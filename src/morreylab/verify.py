@@ -19,6 +19,7 @@ import math
 # unused here: bench/spans.py patches it, and the run trace of ROADMAP item 4 drops both
 from concurrent.futures import ThreadPoolExecutor  # noqa: F401
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
@@ -744,6 +745,8 @@ def merge_config(user: dict | None) -> dict:
 
 
 def build_space(space_cfg: dict) -> DiscreteHomSpace:
+    """The space of a config's `space` section (or of the CLI's space flags).
+    A "file" ending in .csv is a point cloud, any other a JSON table."""
     kind = space_cfg.get("kind", "circle")
     if kind == "circle":
         return build_uniform_grid(int(space_cfg.get("n", 256)), 1, "circle")
@@ -752,7 +755,16 @@ def build_space(space_cfg: dict) -> DiscreteHomSpace:
     if kind == "grid2d":
         return build_uniform_grid(int(space_cfg.get("n", 16)), 2, "interval")
     if kind == "file":
-        return homspace.load_space_json(space_cfg["path"])
+        if "path" not in space_cfg:
+            raise ValueError('space kind "file" needs a "path"')
+        path = space_cfg["path"]
+        from_csv = Path(path).suffix.lower() == ".csv"
+        try:
+            return (homspace.load_space_csv if from_csv else homspace.load_space_json)(path)
+        except homspace.SpaceValidationError:
+            raise
+        except (ValueError, TypeError) as exc:
+            raise ValueError(f"cannot parse space file {path}: {exc}") from exc
     raise ValueError(f"unknown space kind {kind!r}")
 
 

@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
 from morreylab import funcnorm
-from morreylab.homspace import build_from_table, build_uniform_grid, space_from_points
+from morreylab.homspace import (DegenerateFit, build_from_table, build_uniform_grid,
+                                space_from_points)
 
 
 @pytest.fixture(scope="session")
@@ -121,6 +124,59 @@ def reference_annulus_witnesses(space):
             if not mus[b] > mus[a]:
                 witnesses.append((c, float(radii[a]), float(radii[b])))
     return witnesses
+
+
+def reference_reverse_doubling(space):
+    """reverse_doubling_exponent as it was when it held every center's
+    nested pairs at once (`all_rows`); the two-pass version must return
+    the same (C, gamma) bit for bit."""
+    bf = space.balls
+    half = 0.5 * space.total_measure
+    fullest: dict[float, float] = {}
+    for c in range(space.n):
+        radii = bf.radii_of(c)
+        mus = bf.measures[c, : len(radii)]
+        for rv, mv in zip(radii, mus):
+            key = float(rv)
+            if mv > fullest.get(key, 0.0):
+                fullest[key] = float(mv)
+    all_rows = []
+    fit_x, fit_y = [], []
+    for c in range(space.n):
+        radii = bf.radii_of(c)
+        mus = bf.measures[c, : len(radii)]
+        mask = radii > 0
+        r, m = radii[mask], mus[mask]
+        if r.size < 2:
+            continue
+        lx = np.log(r)
+        ly = np.log(m)
+        iu = np.triu_indices(r.size, k=1)
+        all_rows.append(((lx[:, None] - lx[None, :])[iu],
+                         (ly[:, None] - ly[None, :])[iu]))
+        lo = np.flatnonzero((r >= 2.0 * r[0]) & (2.0 * r <= r[-1]))
+        for i in lo:
+            j = int(np.clip(np.searchsorted(r, 2.0 * r[i]), 1, r.size - 1))
+            if abs(r[j - 1] - 2.0 * r[i]) <= abs(r[j] - 2.0 * r[i]):
+                j -= 1
+            if (j > i and m[j] <= half
+                    and m[i] >= 0.95 * fullest[float(r[i])]
+                    and m[j] >= 0.95 * fullest[float(r[j])]):
+                fit_x.append(lx[i] - lx[j])
+                fit_y.append(ly[i] - ly[j])
+    npairs = sum(x.size for x, _ in all_rows)
+    if npairs < 2:
+        raise DegenerateFit(f"only {npairs} nested realized pair(s)")
+    if len(fit_x) >= 2:
+        x = np.asarray(fit_x)
+        y = np.asarray(fit_y)
+        gamma = float((x * y).sum() / (x * x).sum())
+    else:
+        sxx = sum(float((x * x).sum()) for x, _ in all_rows)
+        sxy = sum(float((x * y).sum()) for x, y in all_rows)
+        gamma = sxy / sxx
+    resid = max(float((y - gamma * x).max()) for x, y in all_rows)
+    return max(math.exp(resid), 1.0), gamma
 
 
 def reference_ball_sums(space, v):

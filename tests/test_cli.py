@@ -31,6 +31,13 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+def run_process(*argv):
+    """`python -m morreylab.cli ARGV` in a child process, so a traceback shows."""
+    env = {**os.environ, "PYTHONPATH": str(SRC) + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    return subprocess.run([sys.executable, "-m", "morreylab.cli", *argv], env=env,
+                          capture_output=True, text=True)
+
+
 class TestSpaceCommand:
     def test_grid_all_checks_pass(self, capsys):
         code, out, _ = run(capsys, "space", "--grid", "16", "--check", "all")
@@ -298,9 +305,7 @@ class TestUsage:
         (tmp_path / "f.json").write_text(json.dumps(list(range(8))))
         (tmp_path / "nan.json").write_text("[1, 2, NaN, 4, 5, 6, 7, 8]")
         argv = [a.format(f=tmp_path / "f.json", nan=tmp_path / "nan.json") for a in argv]
-        env = {**os.environ, "PYTHONPATH": str(SRC) + os.pathsep + os.environ.get("PYTHONPATH", "")}
-        proc = subprocess.run([sys.executable, "-m", "morreylab.cli", *argv], env=env,
-                              capture_output=True, text=True)
+        proc = run_process(*argv)
         assert proc.returncode == 2, proc.stderr
         assert "error:" in proc.stderr and "Traceback" not in proc.stderr
 
@@ -314,3 +319,48 @@ class TestUsage:
     def test_space_requires_source(self, capsys):
         code, _, err = run(capsys, "space")
         assert code == 2
+
+
+# the quasi-triangle fails at (0, 2, 1): d(0, 2) = 5 > d(0, 1) + d(1, 2) = 2
+AXIOM_VIOLATING_TABLE = {"n": 3, "dist": [[0, 1, 5], [1, 0, 1], [5, 1, 0]],
+                         "weight": [1, 1, 1], "ct": 1.0, "cs": 1.0}
+
+
+class TestBadSpaceFile:
+    """Every subcommand loads its space through verify.build_space, and main
+    alone maps the failure to an exit code and one line on stderr."""
+
+    @pytest.mark.parametrize("case, code, prefix", [
+        ("missing", 2, "error: "), ("malformed", 2, "error: "),
+        ("axiom", 1, "axiom violation: "),
+    ], ids=["missing", "malformed", "axiom"])
+    @pytest.mark.parametrize("command", ["space", "norm", "op", "verify"])
+    def test_exit_code_and_one_line(self, tmp_path, command, case, code, prefix):
+        space = tmp_path / "space.json"
+        if case == "malformed":
+            space.write_text("{not json")
+        elif case == "axiom":
+            space.write_text(json.dumps(AXIOM_VIOLATING_TABLE))
+        f = tmp_path / "f.json"
+        f.write_text("[1.0, 0.0, 0.0]")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(dict(SMALL_VERIFY_CFG, space={"kind": "file",
+                                                                 "path": str(space)})))
+        argv = {"space": ["space", "--space", str(space)],
+                "norm": ["norm", "--space", str(space), "--norm", "lp"],
+                "op": ["op", "--space", str(space), "--op", "maximal", "--f", str(f)],
+                "verify": ["verify", "--config", str(cfg), "--out", str(tmp_path / "o")]}
+        proc = run_process(*argv[command])
+        assert proc.returncode == code, proc.stderr
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(prefix), proc.stderr
+        assert "Traceback" not in proc.stderr and not proc.stdout
+        if case != "axiom":
+            assert str(space) in lines[0]
+
+    def test_file_space_without_path(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(dict(SMALL_VERIFY_CFG, space={"kind": "file"})))
+        code, _, err = run(capsys, "verify", "--config", str(cfg), "--out", str(tmp_path / "o"))
+        assert code == 2
+        assert err.startswith("error: ") and "path" in err

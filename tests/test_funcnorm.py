@@ -246,8 +246,7 @@ class TestMorreyKernel:
         bf = build_uniform_grid(40, 1, "circle").balls
         order = bf.order.copy()
         order[3, 7] = entry  # the step table puts order's entries in place
-        bad = type(bf)(bf.dist, bf.weight, order, bf.radii, bf.counts, bf.measures,
-                       bf.n_ranks)
+        bad = type(bf)(bf.weight, order, bf.radii, bf.counts, bf.measures, bf.n_ranks)
         with pytest.raises(ValueError, match=r"outside \[0, 40\]"):
             bad.step_table
 

@@ -17,8 +17,9 @@ from morreylab.homspace import (DegenerateFit, DiscreteHomSpace, NonPositiveWeig
                                 load_space_csv, load_space_json,
                                 reverse_doubling_exponent, space_from_points)
 
-from conftest import (STACK_SPACES, random_cloud, reference_annulus_witnesses,
-                      reference_ball_family, reference_open_measure)
+from conftest import (REFERENCE_SPACES, STACK_SPACES, random_cloud,
+                      reference_annulus_witnesses, reference_ball_family,
+                      reference_open_measure, reference_reverse_doubling)
 
 # the stack spaces, two atoms, and a table accepted only with cs > 1 whose
 # rows rank the atoms differently (row 0 ties two atoms at its diameter)
@@ -303,6 +304,33 @@ class TestReverseDoubling:
     def test_degenerate_two_atoms(self, two_atom):
         with pytest.raises(DegenerateFit):
             reverse_doubling_exponent(two_atom)
+
+    @pytest.mark.parametrize("make", [
+        lambda: build_uniform_grid(64, 1, "circle"),
+        lambda: build_uniform_grid(64, 1, "interval"),
+        REFERENCE_SPACES["cloud40"], REFERENCE_SPACES["grid2d-ties"],
+    ], ids=["circle64", "interval64", "cloud40", "grid2d-ties"])
+    def test_matches_all_pairs_reference_bit_for_bit(self, make):
+        sp = make()
+        assert reverse_doubling_exponent(sp) == reference_reverse_doubling(sp)
+
+    def test_single_atom_degenerate_in_both(self):
+        sp = REFERENCE_SPACES["single-atom"]()
+        for fit in (reverse_doubling_exponent, reference_reverse_doubling):
+            with pytest.raises(DegenerateFit):
+                fit(sp)
+
+    def test_holds_one_center_of_pairs_at_a_time(self):
+        # holding every center's nested pairs at once peaks at about 14 MiB here
+        sp = build_uniform_grid(192, 1, "circle")
+        sp.balls
+        tracemalloc.start()
+        try:
+            reverse_doubling_exponent(sp)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 2**20, peak
 
 
 class TestAnnulus:

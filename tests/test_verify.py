@@ -13,7 +13,8 @@ from morreylab.corpus import Corpus, make_corpus
 from morreylab.funcnorm import (GrandNormEvaluator, GrandParams, TabulatedFunction,
                                 bmo_norm, default_eps_grid, grand_lebesgue_norm,
                                 grand_morrey_norm, lp_norm, morrey_norm)
-from morreylab.homspace import build_from_table, build_uniform_grid
+from morreylab.homspace import (build_from_table, build_uniform_grid, dump_space_json,
+                                space_from_points)
 from morreylab.operators import (CZOperator, PotentialOperator, commutator,
                                  conjugate_kernel, maximal, maximal_s, sharp_maximal)
 from morreylab.verify import (AllSamplesDegenerate, HypothesisFailed,
@@ -482,6 +483,18 @@ class TestSuiteRunner:
             key = primary[rep.check]
             assert next(iter(rep.empirical)) == key, rep.check
             assert row["primary_constant"] == repr(float(rep.empirical[key])), rep.check
+
+    def test_csv_cloud_and_its_json_table_give_equal_reports(self, tmp_path):
+        rng = np.random.default_rng(24)
+        points, weight = rng.random((24, 2)), rng.uniform(0.5, 1.5, 24) / 24
+        csv_path, json_path = tmp_path / "cloud.csv", tmp_path / "cloud.json"
+        csv_path.write_text("x,y,weight\n" + "".join(
+            f"{x!r},{y!r},{w!r}\n" for (x, y), w in zip(points.tolist(), weight.tolist())))
+        dump_space_json(space_from_points(points, weight), json_path)
+        cfg = dict(self.CFG, checks=["dominance", "maximal_morrey", "fefferman_stein"])
+        texts = [reports_to_json(run_suite(dict(cfg, space={"kind": "file", "path": str(p)})))
+                 for p in (csv_path, json_path)]
+        assert texts[0] == texts[1]
 
     def test_runs_on_space_without_circle_angles(self):
         reports = run_suite({"space": {"kind": "grid2d", "n": 4},
