@@ -548,6 +548,13 @@ def _scale_exponents(lam_eff: np.ndarray) -> np.ndarray:
     return -(lam_eff[:1] if np.all(lam_eff == lam_eff[0]) else lam_eff)
 
 
+def _rank_measures(bf) -> np.ndarray:
+    """The (N, R) ball measures, or their first row when every center's ball of
+    each rank has the same measure, as on a uniform circle: a scale table built
+    from it broadcasts over centers, the same powers in 1/N the work."""
+    return bf.measures[:1] if np.all(bf.measures == bf.measures[:1]) else bf.measures
+
+
 def phi_functional_detail(space: DiscreteHomSpace, f, params: GrandParams,
                           s: float) -> NormResult:
     """phi_functional and its first maximising eps, then center, then rank: one shell
@@ -556,8 +563,9 @@ def phi_functional_detail(space: DiscreteHomSpace, f, params: GrandParams,
         raise ValueError("need 0 < s <= s_max")
     grid, pe, lam_eff, phi_pow = _grand_grid(params, s)
     bf, neg = space.balls, _scale_exponents(lam_eff)
+    mu = _rank_measures(bf)
     peak, powers = _grand_peaks(space, as_values(space, f)[None], pe,
-                                lambda k: bf.measures[:, k, None] ** neg)
+                                lambda k: mu[:, k, None] ** neg)
     vals = phi_pow * peak[:, 0].max(axis=0) ** (1.0 / pe)
     e = int(np.argmax(vals))
     c = int(np.argmax(peak[:, 0, e]))
@@ -590,10 +598,11 @@ class GrandNormEvaluator:
     Precomputes mu(B)^(-lam_eff) per (center, rank, eps) in `mu_pow`,
     stored rank-major so the (N, E) slice of one rank is contiguous; when
     lam_eff is the same at every grid point it holds one column, (N, R, 1),
-    which the sweep broadcasts over eps.  Inputs are swept by `_grand_peaks`,
-    as in grand_morrey_norm, in column blocks of C inputs, C sized so the
-    sweep's arrays fit `_BLOCK_BYTES`; the grand norm of one input equals
-    grand_morrey_norm bit for bit.
+    and when every center's ball of each rank has the same measure one row,
+    (1, R, E), which the sweep broadcasts over eps or centers.  Inputs are
+    swept by `_grand_peaks`, as in grand_morrey_norm, in column blocks of C
+    inputs, C sized so the sweep's arrays fit `_BLOCK_BYTES`; the grand norm
+    of one input equals grand_morrey_norm bit for bit.
 
     Results are memoised per input row in the space's ball family, keyed by
     (p - eps, lam_eff), so every evaluator of the space with those exponents
@@ -607,8 +616,9 @@ class GrandNormEvaluator:
         self.params = params
         bf = space.balls
         self.grid, self.pe, lam_eff, self.phi_pow = _grand_grid(params, params.smax)
-        # mu^(-lam_eff) indexed (N, R, E), stored (R, N, E), E = 1 for a constant lam_eff
-        self.mu_pow = (np.ascontiguousarray(bf.measures.T)[:, :, None]
+        # mu^(-lam_eff) indexed (N, R, E), stored (R, N, E), E = 1 for a constant
+        # lam_eff and N = 1 for measures that depend on the rank alone
+        self.mu_pow = (np.ascontiguousarray(_rank_measures(bf).T)[:, :, None]
                        ** _scale_exponents(lam_eff)).transpose(1, 0, 2)
         # inputs per column block: powers, run, tmp and peak are (N, C E) each
         self.columns = max(1, _BLOCK_BYTES // (4 * 8 * space.n * self.pe.size))

@@ -109,7 +109,8 @@ def kernel_from_matrix(space: DiscreteHomSpace, matrix, name: str = "custom",
     if m.shape != (space.n, space.n):
         raise ValueError("kernel table shape does not match the space")
     modulus = modulus or _default_modulus()
-    lhs = np.abs(m) * space.balls.open_measure
+    lhs = np.abs(m)
+    lhs *= space.balls.open_measure
     np.fill_diagonal(lhs, 0.0)  # the diagonal is never applied: a 0 drops out of the max
     top = float(lhs.max())
     if not math.isfinite(top):
@@ -132,9 +133,11 @@ def conjugate_kernel(space: DiscreteHomSpace) -> KernelSpec:
     if space.labels is None or space.labels.shape[1] != 1:
         raise ValueError("conjugate kernel needs circle angles in space.labels")
     theta = space.labels[:, 0]
-    diff = theta[:, None] - theta[None, :]
+    k = theta[:, None] - theta[None, :]  # turned into the kernel in place
+    k /= 2.0
+    np.tan(k, out=k)
     with np.errstate(divide="ignore", invalid="ignore"):
-        k = 1.0 / np.tan(diff / 2.0)
+        np.divide(1.0, k, out=k)
     np.fill_diagonal(k, 0.0)
     return kernel_from_matrix(space, k, name="circle-conjugate")
 
@@ -144,9 +147,10 @@ def hilbert_kernel(space: DiscreteHomSpace) -> KernelSpec:
     if space.labels is None or space.labels.shape[1] != 1:
         raise ValueError("hilbert kernel needs 1-D coordinates in space.labels")
     x = space.labels[:, 0]
-    diff = x[:, None] - x[None, :]
+    k = x[:, None] - x[None, :]  # turned into the kernel in place
+    k *= math.pi
     with np.errstate(divide="ignore", invalid="ignore"):
-        k = 1.0 / (math.pi * diff)
+        np.divide(1.0, k, out=k)
     np.fill_diagonal(k, 0.0)
     return kernel_from_matrix(space, k, name="interval-hilbert")
 
@@ -154,7 +158,8 @@ def hilbert_kernel(space: DiscreteHomSpace) -> KernelSpec:
 def validate_kernel(space: DiscreteHomSpace, kernel: KernelSpec) -> None:
     """Check the size condition |K(x,y)| <= C / mu B(x,d(x,y)) pairwise."""
     open_mu = space.balls.open_measure
-    lhs = np.abs(kernel.matrix) * open_mu
+    lhs = np.abs(kernel.matrix)
+    lhs *= open_mu
     bad = ~(lhs <= kernel.size_constant * (1.0 + 1e-12) + 1e-300)  # NaN is a violation
     np.fill_diagonal(bad, False)
     if np.any(bad):

@@ -728,16 +728,37 @@ DEFAULT_CONFIG = {
 }
 
 
+def _check_config_type(key: str, default, val) -> None:
+    """ValueError naming `key` unless `val` has the JSON type of `default`: an
+    integer for an int, a number for a float, and a list of such for a list."""
+    if isinstance(default, float):
+        ok, want = isinstance(val, (int, float)) and not isinstance(val, bool), "a number"
+    elif isinstance(default, int):
+        ok, want = isinstance(val, int) and not isinstance(val, bool), "an integer"
+    else:
+        ok, want = isinstance(val, type(default)), {
+            str: "a string", list: "a list", dict: "an object"}[type(default)]
+    if not ok:
+        raise ValueError(f"config key {key!r} must be {want}, got {type(val).__name__}")
+    if isinstance(default, list):
+        for item in val:
+            _check_config_type(key, default[0], item)
+
+
 def merge_config(user: dict | None) -> dict:
-    """DEFAULT_CONFIG updated by `user`; unknown keys raise ValueError."""
+    """DEFAULT_CONFIG updated by `user`; an unknown key, or a value whose JSON
+    type is not its default's, raises ValueError naming the key."""
     cfg = json.loads(json.dumps(DEFAULT_CONFIG))  # deep copy
     for key, val in (user or {}).items():
         if key not in cfg:
             raise ValueError(f"unknown config key {key!r}")
-        if isinstance(val, dict) and isinstance(cfg[key], dict):
+        _check_config_type(key, cfg[key], val)
+        if isinstance(val, dict):
             allowed = {"kind", "n", "path"} if key == "space" else set(cfg[key])
             if val.keys() - allowed:
                 raise ValueError(f"unknown config keys in {key!r}: {sorted(val.keys() - allowed)}")
+            for sub, v in val.items():
+                _check_config_type(f"{key}.{sub}", cfg[key].get(sub, ""), v)  # path: a string
             cfg[key].update(val)
         else:
             cfg[key] = val

@@ -248,6 +248,23 @@ class TestVerifyCommand:
         assert code == 2
         assert key in err
 
+    @pytest.mark.parametrize("user, key", [
+        ({"space": 5}, "space"),
+        ({"space": {"kind": "circle", "n": [3]}}, "space.n"),
+        ({"params": {"p": "2"}, "checks": ["eta_identity"]}, "params.p"),
+        ({"corpus": 3, "checks": ["eta_identity"]}, "corpus"),
+        ({"checks": "eta_identity"}, "checks"),
+    ], ids=["space", "space.n", "params.p", "corpus", "checks"])
+    def test_config_value_of_wrong_type_is_usage_error(self, tmp_path, user, key):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(user))
+        proc = run_process("verify", "--config", str(cfg), "--out", str(tmp_path / "o"))
+        assert proc.returncode == 2, proc.stderr
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
+        assert f"config key {key!r} must be" in lines[0]
+        assert not (tmp_path / "o").exists()
+
     def test_benchmark_config_keys_accepted(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(dict(SMALL_VERIFY_CFG, seed=7)))

@@ -903,9 +903,13 @@ SWEEP_BUNDLES = {
 }
 
 
+# spaces of STACK_SPACES on which every center's ball of each rank has the same measure
+RANK_ONLY_MEASURES = {"circle257", "single-atom"}
+
+
 def full_width_evaluator(sp, gp):
     """An evaluator of gp with a (N, R, E) table of mu^(-lam_eff), whatever
-    lam_eff is, and a memo of its own."""
+    lam_eff and the ball measures are, and a memo of its own."""
     ev = GrandNormEvaluator(sp, gp)
     lam_eff = np.maximum(gp.lam - gp.A(ev.grid), 0.0)
     ev.mu_pow = (np.ascontiguousarray(sp.balls.measures.T)[:, :, None]
@@ -927,8 +931,8 @@ def counting_sweeps(monkeypatch):
 
 
 class TestGrandSweep:
-    """The shell sweep's one-column scale for a constant lam_eff, and its
-    per-space memo."""
+    """The shell sweep's one-column scale for a constant lam_eff, its one-row
+    scale for ball measures that depend on the rank alone, and its per-space memo."""
 
     @pytest.mark.parametrize("bundle", SWEEP_BUNDLES, ids=SWEEP_BUNDLES.keys())
     @pytest.mark.parametrize("make", STACK_SPACES.values(), ids=STACK_SPACES.keys())
@@ -944,14 +948,15 @@ class TestGrandSweep:
             assert value == reference_morrey_detail(sp, f, 1.5, 0.25)[0]
             assert np.array_equal(mf, reference_maximal(sp, f))
 
-    @pytest.mark.parametrize("make", STACK_SPACES.values(), ids=STACK_SPACES.keys())
-    def test_constant_lam_eff_keeps_one_scale_column(self, make):
-        sp = make()
+    @pytest.mark.parametrize("name", STACK_SPACES)
+    def test_constant_lam_eff_keeps_one_scale_column(self, name):
+        sp = STACK_SPACES[name]()
         gp = SWEEP_BUNDLES["constant"]()
         ev, full = GrandNormEvaluator(sp, gp), full_width_evaluator(sp, gp)
         n, r = sp.balls.measures.shape
-        assert ev.mu_pow.shape == (n, r, 1) and full.mu_pow.shape == (n, r, ev.pe.size)
-        assert ev.mu_pow.transpose(1, 0, 2).flags.c_contiguous  # stored (R, N, 1)
+        rows = 1 if name in RANK_ONLY_MEASURES else n
+        assert ev.mu_pow.shape == (rows, r, 1) and full.mu_pow.shape == (n, r, ev.pe.size)
+        assert ev.mu_pow.transpose(1, 0, 2).flags.c_contiguous  # stored (R, N', 1)
         rng = np.random.default_rng(51)
         fs = rng.normal(size=(5, sp.n)) * rng.exponential(size=(5, sp.n))
         fs[1] = rng.integers(-2, 3, size=sp.n)
@@ -959,7 +964,35 @@ class TestGrandSweep:
         f = fs[0]
         assert grand_morrey_norm(sp, f, gp) == ev(f) == full(f)
         varying = GrandNormEvaluator(sp, SWEEP_BUNDLES["varying"]())
-        assert varying.mu_pow.shape == (n, r, varying.pe.size)
+        assert varying.mu_pow.shape == (rows, r, varying.pe.size)
+
+    @pytest.mark.parametrize("name", ["circle257", "interval256", "cloud40"])
+    def test_one_row_scale_matches_full_width(self, name):
+        # a varying lam_eff: the constant one is compared in the test above
+        sp, gp = STACK_SPACES[name](), SWEEP_BUNDLES["varying"]()
+        ev, full = GrandNormEvaluator(sp, gp), full_width_evaluator(sp, gp)
+        assert ev.mu_pow.shape[0] == (1 if name in RANK_ONLY_MEASURES else sp.n)
+        rng = np.random.default_rng(54)
+        fs = rng.normal(size=(3, sp.n)) * rng.exponential(size=(3, sp.n))
+        fs[1] = rng.integers(-2, 3, size=sp.n)  # ties and zeros
+        assert np.array_equal(ev.morrey_vector(fs), full.morrey_vector(fs))
+        assert np.array_equal(ev(fs), full(fs))
+        for f in fs:
+            assert grand_morrey_norm(sp, f, gp) == ev(f) == full(f)
+
+    def test_rank_only_measures_hold_no_center_axis(self):
+        # the (N, R, E) table would hold 64.1 MiB here: 1024 x 513 x 16 doubles
+        sp = build_uniform_grid(1024, 1, "circle")
+        sp.balls  # the ball family is built once per space
+        gp = SWEEP_BUNDLES["varying"]()
+        tracemalloc.start()
+        try:
+            ev = GrandNormEvaluator(sp, gp)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert ev.mu_pow.shape == (1, sp.balls.measures.shape[1], ev.pe.size)
+        assert held <= 2**20, held
 
     def test_equal_exponents_share_one_sweep(self, monkeypatch):
         sp = build_uniform_grid(48, 1, "circle")
