@@ -6,7 +6,7 @@ Subpackages:
   funcnorm   Lebesgue, Morrey, BMO, grand Lebesgue, and generalized grand
              Morrey norms
   operators  maximal, sharp maximal, singular-integral, and potential
-             operators, commutators, Dini moduli
+             operators, commutators
   auxfun     exponent bookkeeping functions and boundedness-constant formulas
   corpus     seeded random test-function families
   verify     empirical inequality verification with calibrated constants
@@ -26,11 +26,11 @@ from .homspace import (BallFamily, DegenerateFit, DiscreteHomSpace,
                        ZeroDistanceOffDiagonal, build_from_table,
                        build_uniform_grid, check_annulus, doubling_constant,
                        reverse_doubling_exponent, space_from_points)
-from .operators import (CZOperator, DivergenceSuspected, KernelSizeViolation,
-                        KernelSpec, PotentialOperator, commutator,
-                        conjugate_kernel, cz_apply, dini_integral,
-                        hilbert_kernel, kernel_from_matrix, maximal, maximal_s,
-                        potential_apply, sharp_maximal, validate_kernel)
+from .operators import (CZOperator, KernelSizeViolation, KernelSpec,
+                        PotentialOperator, commutator, conjugate_kernel,
+                        cz_apply, hilbert_kernel, kernel_from_matrix, maximal,
+                        maximal_s, potential_apply, sharp_maximal,
+                        validate_kernel)
 from .verify import (AllSamplesDegenerate, HypothesisFailed, VerificationReport,
                      commutator_suite, dominance_check, embedding_chain_check,
                      fefferman_stein_check, reduction_transfer_check,

@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -278,21 +279,21 @@ def lp_norm(space: DiscreteHomSpace, f, p: float):
 
 
 def _morrey_peaks(space: DiscreteHomSpace, rows: np.ndarray, p: float, lam: float):
-    """(M, N) peaks over radii of mu B^(-lam) sum_B |f|^p w (unrooted) and mu B^lam."""
+    """(M, N) peaks over radii of mu B^(-lam) sum_B |f|^p w (unrooted)."""
     if p < 1:
         raise ValueError("need p >= 1")
     if not (0 <= lam < 1):
         raise ValueError("need 0 <= lambda < 1")
-    scale = space.balls.measures ** lam
-    return _center_peaks(space, rows, lambda b: np.abs(b) ** p * space.weight, scale), scale
+    return _center_peaks(space, rows, lambda b: np.abs(b) ** p * space.weight, lam)
 
 
 def morrey_norm_detail(space: DiscreteHomSpace, f, p: float, lam: float) -> NormResult:
     """morrey_norm of one input and its ball: the first (center, rank) attaining it."""
     v = as_values(space, f)
-    peaks, scale = _morrey_peaks(space, v[None], p, lam)
+    peaks = _morrey_peaks(space, v[None], p, lam)
     c, bf = int(np.argmax(peaks[0])), space.balls
-    row = np.cumsum((np.abs(v) ** p * space.weight)[bf.order[c]])[bf.counts[c] - 1] / scale[c]
+    row = np.cumsum((np.abs(v) ** p * space.weight)[bf.order[c]])[bf.counts[c] - 1] \
+        / bf.measures[c] ** lam
     return NormResult(float(peaks[0, c] ** (1.0 / p)), center=c, rank=int(np.argmax(row)))
 
 
@@ -300,13 +301,13 @@ def morrey_norm(space: DiscreteHomSpace, f, p: float, lam: float):
     """max over realized balls of (mu B^(-lam) int_B |f|^p dmu)^(1/p): a float
     for one input (N,), an (M,) array for a stack (M, N), rooted per input."""
     rows, single = _as_rows(space, f)
-    out = np.array([v ** (1.0 / p) for v in _morrey_peaks(space, rows, p, lam)[0].max(axis=1)])
+    out = np.array([v ** (1.0 / p) for v in _morrey_peaks(space, rows, p, lam).max(axis=1)])
     return float(out[0]) if single else out
 
 
-# arrays of one column block of the shell sweep: its four (N, C E) arrays
-# stay near it, so C falls to one input at large N, where wider blocks
-# measured slower
+# arrays of one column block of the shell sweep: the (N, C E) arrays it holds
+# stay near it.  Wider blocks measured slower for per-center peaks, and faster
+# but at twice the memory for peaks reduced over centers
 _BLOCK_BYTES = 512 * 1024
 # arrays of one block of the oscillation kernel, a core's 2 MiB L2 cache.  Its
 # deviation sums pay NumPy's cost per row of an (L, X) buffer: X = 900, 227
@@ -323,43 +324,71 @@ def _ball_peaks(space: DiscreteHomSpace, powers: np.ndarray, scale, ufunc):
     """Each center's peak over ranks k of ufunc(ball sum, scale(k)), shape (N, C, E),
     for an (N + 1, C, E) block of powers whose row N is zero, scale(k) being rank k's
     (N, E) scale.  A running sum per center gains its next shell one step-table row at
-    a time, the zero row padding short shells, so each column adds its atoms in distance
-    order from +0.0: a per-center cumulative sum bit for bit, whatever C is, in O(N C E).
-    The step table's entries were bounds-checked when it was built, so the gathers use
-    mode "clip", which writes `out` directly; the default mode buffers every call."""
-    steps, widths = space.balls.step_table
+    a time, so each column adds its atoms in distance order from +0.0: a per-center
+    cumulative sum bit for bit, whatever C is, in O(N C E).  A row of runs adds each as
+    a slice, skipping pads, which would add +0.0 to a sum >= +0.0; any other row gathers
+    with mode "clip" (the table was bounds-checked when built), the zero row padding.
+    A one-row scale (1, E), shared by all centers, is applied to the sums' maximum over
+    centers, taken g | N rows side by side for wide inner loops: for s > 0,
+    max_c fl(s x_c) = fl(s max_c x_c), so the (1, C, E) peaks keep their bits."""
+    steps, widths, runs = space.balls.step_table
     n, (c, e) = space.n, powers.shape[1:]
     flat = powers.reshape(n + 1, c * e)
-    run, tmp, peak = np.zeros((n, c * e)), np.empty((n, c * e)), np.full((n, c, e), -np.inf)
+    reduced = len(scale(0)) == 1
+    g = max(d for d in range(1, max(1, 512 // (c * e)) + 1) if n % d == 0) if reduced else 1
+    run, wide = np.zeros((n, c * e)), np.empty(g * c * e)
+    tmp = None if reduced and None not in runs else np.empty((n, c * e))
+    peak = np.full((1 if reduced else n, c, e), -np.inf)
     t = 0
     for k, width in enumerate(widths):
         for s in range(t, t + width):
-            flat.take(steps[s], axis=0, out=tmp, mode="clip")
-            run += tmp
+            if runs[s] is None:
+                flat.take(steps[s], axis=0, out=tmp, mode="clip")
+                run += tmp
+            else:
+                for a, b, src in runs[s]:
+                    run[a:b] += flat[src:src + b - a]
         t += width
-        scaled = tmp.reshape(n, c, e)
-        ufunc(run.reshape(n, c, e), scale(k)[:, None, :], out=scaled)
+        if reduced:
+            top = np.max(run.reshape(n // g, g * c * e), axis=0, out=wide)
+            sums = scaled = (top.reshape(g, c * e).max(axis=0) if g > 1 else top).reshape(1, c, e)
+        else:
+            sums, scaled = run.reshape(n, c, e), tmp.reshape(n, c, e)
+        ufunc(sums, scale(k)[:, None, :], out=scaled)
         np.maximum(peak, scaled, out=peak)
     return peak
 
 
-def _center_peaks(space: DiscreteHomSpace, rows: np.ndarray, terms, scale) -> np.ndarray:
-    """(M, N) peaks over radii of sum_B terms / scale per input row, in column
-    blocks; `terms` maps a (C, N) block to its atom terms, `scale` is (N, R)."""
+def _center_peaks(space: DiscreteHomSpace, rows: np.ndarray, terms,
+                  lam: float | None = None) -> np.ndarray:
+    """(M, N) peaks over radii of sum_B terms / mu(B)^lam per input row (mu(B) for lam
+    None), in column blocks; `terms` maps a (C, N) block to its atom terms.  Rank k's
+    (N, 1) scale column comes from a contiguous copy of 16 ranks' measures: no (N, R)
+    table per call, and no strided column, whose powers took up to 1.5 times as long."""
     n, columns = space.n, max(1, _BLOCK_BYTES // (4 * 8 * space.n))  # E = 1
-    scale = np.ascontiguousarray(scale.T)[:, :, None]
+    mu, chunk = space.balls.measures, {}
+
+    def scale(k):
+        k0, i = divmod(k, 16)
+        if k0 not in chunk:
+            chunk.clear()
+            block = np.ascontiguousarray(mu[:, 16 * k0:16 * k0 + 16].T)
+            chunk[k0] = block if lam is None else block ** lam
+        return chunk[k0][i, :, None]
+
     out = np.empty((len(rows), n))
     for c0 in range(0, len(rows), columns):
         block = terms(rows[c0:c0 + columns])
         powers = np.zeros((n + 1, len(block), 1))  # row n pads short shells
         powers[:n, :, 0] = block.T
-        out[c0:c0 + columns] = _ball_peaks(space, powers, scale.__getitem__, np.divide)[:, :, 0].T
+        out[c0:c0 + columns] = _ball_peaks(space, powers, scale, np.divide)[:, :, 0].T
     return out
 
 
 def _grand_peaks(space: DiscreteHomSpace, rows: np.ndarray, pe: np.ndarray, scale):
-    """(N, C, E) peaks over ranks of scale(k) sum_B |f|^(p-eps) w for a (C, N) block
-    of inputs, scale(k) being rank k's (N, E) mu^(-lam_eff), and the powers swept."""
+    """(N', C, E) peaks over ranks of scale(k) sum_B |f|^(p-eps) w for a (C, N) block
+    of inputs, scale(k) being rank k's (N', E) mu^(-lam_eff), N' in {1, N}, and the
+    powers swept."""
     n = space.n
     powers = np.zeros((n + 1, len(rows), pe.size))  # row n pads short shells
     np.power(np.abs(rows.T)[:, :, None], pe, out=powers[:n])
@@ -551,14 +580,15 @@ def _scale_exponents(lam_eff: np.ndarray) -> np.ndarray:
 def _rank_measures(bf) -> np.ndarray:
     """The (N, R) ball measures, or their first row when every center's ball of
     each rank has the same measure, as on a uniform circle: a scale table built
-    from it broadcasts over centers, the same powers in 1/N the work."""
+    from it holds the same powers in 1/N the work, and the sweep reduces over centers."""
     return bf.measures[:1] if np.all(bf.measures == bf.measures[:1]) else bf.measures
 
 
 def phi_functional_detail(space: DiscreteHomSpace, f, params: GrandParams,
                           s: float) -> NormResult:
     """phi_functional and its first maximising eps, then center, then rank: one shell
-    sweep of the grid below s, forming mu(B)^(-lam_eff) per rank in O(N E) memory."""
+    sweep of the grid below s, forming mu(B)^(-lam_eff) per rank in O(N E) memory, and
+    after a sweep reduced over centers a per-center one of the maximising eps alone."""
     if not (0 < s <= params.smax * (1 + 1e-12)):
         raise ValueError("need 0 < s <= s_max")
     grid, pe, lam_eff, phi_pow = _grand_grid(params, s)
@@ -568,9 +598,12 @@ def phi_functional_detail(space: DiscreteHomSpace, f, params: GrandParams,
                                 lambda k: mu[:, k, None] ** neg)
     vals = phi_pow * peak[:, 0].max(axis=0) ** (1.0 / pe)
     e = int(np.argmax(vals))
-    c = int(np.argmax(peak[:, 0, e]))
-    row = np.cumsum(powers[bf.order[c], 0, e])[bf.counts[c] - 1] \
-        * (bf.measures[c, :, None] ** neg)[:, min(e, neg.size - 1)]
+    neg_e, at = neg[min(e, neg.size - 1):][:1], peak[:, 0, e]
+    if len(at) < space.n:  # reduced over centers
+        at = _ball_peaks(space, np.ascontiguousarray(powers[:, :, e:e + 1]),
+                         lambda k: bf.measures[:, k, None] ** neg_e, np.multiply)[:, 0, 0]
+    c = int(np.argmax(at))
+    row = np.cumsum(powers[bf.order[c], 0, e])[bf.counts[c] - 1] * bf.measures[c] ** neg_e
     return NormResult(float(vals[e]), eps=float(grid[e]), center=c, rank=int(np.argmax(row)))
 
 
@@ -599,10 +632,11 @@ class GrandNormEvaluator:
     stored rank-major so the (N, E) slice of one rank is contiguous; when
     lam_eff is the same at every grid point it holds one column, (N, R, 1),
     and when every center's ball of each rank has the same measure one row,
-    (1, R, E), which the sweep broadcasts over eps or centers.  Inputs are
+    (1, R, E): the sweep broadcasts the column over eps, and with one row it
+    takes each rank's maximum over centers before scaling it.  Inputs are
     swept by `_grand_peaks`, as in grand_morrey_norm, in column blocks of C
-    inputs, C sized so the sweep's arrays fit `_BLOCK_BYTES`; the grand norm
-    of one input equals grand_morrey_norm bit for bit.
+    inputs, C sized so the arrays the sweep holds fit `_BLOCK_BYTES`; the grand
+    norm of one input equals grand_morrey_norm bit for bit.
 
     Results are memoised per input row in the space's ball family, keyed by
     (p - eps, lam_eff), so every evaluator of the space with those exponents
@@ -620,10 +654,16 @@ class GrandNormEvaluator:
         # lam_eff and N = 1 for measures that depend on the rank alone
         self.mu_pow = (np.ascontiguousarray(_rank_measures(bf).T)[:, :, None]
                        ** _scale_exponents(lam_eff)).transpose(1, 0, 2)
-        # inputs per column block: powers, run, tmp and peak are (N, C E) each
-        self.columns = max(1, _BLOCK_BYTES // (4 * 8 * space.n * self.pe.size))
         self._memo: dict[bytes, np.ndarray] = bf.memo.setdefault(
             ("grand", self.pe.tobytes(), lam_eff.tobytes()), {})
+
+    @cached_property
+    def columns(self) -> int:
+        """Inputs per column block: powers and run are (N, C E), and so are a gather
+        buffer and, unless a one-row scale reduces over centers, the scaled sums and peaks."""
+        per_center = self.mu_pow.shape[0] > 1
+        held = 2 + (per_center or None in self.space.balls.step_table[2]) + per_center
+        return max(1, _BLOCK_BYTES // (held * 8 * self.space.n * self.pe.size))
 
     def morrey_vector(self, f) -> np.ndarray:
         """Per-grid-point Morrey norms ||f||_{p-eps, lam-A(eps)}: shape (E,)

@@ -250,12 +250,15 @@ class BallFamily:
         return float(self.measures[center, rank])
 
     @property
-    def step_table(self) -> tuple[np.ndarray, list[int]]:
-        """(steps, widths) of a shell sweep, built once: rank k adds each
+    def step_table(self) -> tuple[np.ndarray, list[int], list]:
+        """(steps, widths, runs) of a shell sweep, built once: rank k adds each
         center's shell of equidistant atoms in widths[k] steps, and row s of
         the int32 `steps` holds the atom each center gains, or N if none.
         Every entry is checked to lie in [0, N] here, once, so sweeps may
-        gather with `take(..., mode="clip")`, which skips the per-call check."""
+        gather with `take(..., mode="clip")`, which skips the per-call check.
+        runs[s] lists row s, N entries left out, as (first center, end center,
+        first atom) runs of consecutive atoms that a sweep adds as slices: at
+        most 3 on a circle and 2 on an interval, and None past 4 runs."""
         if self._steps is None:
             n = self.order.shape[0]
             # the step of a distance position is its rank's first plus its offset
@@ -269,7 +272,16 @@ class BallFamily:
                 raise ValueError(f"step table entries outside [0, {n}]")
             steps = np.ascontiguousarray(table.T)
             steps.setflags(write=False)
-            self._steps = (steps, widths.tolist())
+            runs = []
+            for row in steps:  # row by row: (S, N) masks would outgrow the table
+                real = row < n
+                linked = np.zeros(n + 1, dtype=bool)  # row[i - 1] runs on into row[i]
+                linked[1:n] = (np.diff(row) == 1) & real[1:]
+                first = np.flatnonzero(real & ~linked[:n])
+                end = np.flatnonzero(real & ~linked[1:]) + 1
+                runs.append(None if len(first) > 4 else
+                            list(zip(first.tolist(), end.tolist(), row[first].tolist())))
+            self._steps = (steps, widths.tolist(), runs)
         return self._steps
 
     @property

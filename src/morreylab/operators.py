@@ -14,14 +14,12 @@ from typing import Callable
 
 import numpy as np
 
-from .funcnorm import TabulatedFunction, _as_rows, _center_peaks, _oscillation_peaks, as_values
+from .funcnorm import _as_rows, _center_peaks, _oscillation_peaks, as_values
 from .homspace import DiscreteHomSpace
 
 __all__ = [
     "KernelSizeViolation",
-    "DivergenceSuspected",
     "KernelSpec",
-    "DiniResult",
     "maximal",
     "maximal_s",
     "sharp_maximal",
@@ -34,7 +32,6 @@ __all__ = [
     "potential_apply",
     "PotentialOperator",
     "commutator",
-    "dini_integral",
 ]
 
 
@@ -47,15 +44,11 @@ class KernelSizeViolation(ValueError):
         self.witness = (i, j)
 
 
-class DivergenceSuspected(RuntimeError):
-    """Partial sums of w(2^-k) fail the Cauchy test at table resolution."""
-
-
 def maximal(space: DiscreteHomSpace, f) -> np.ndarray:
     """Hardy-Littlewood maximal function: max ball average of |f| per center,
     for one input (N,) or per row of a stack (M, N), swept in column blocks."""
     rows, single = _as_rows(space, f)
-    out = _center_peaks(space, rows, lambda b: np.abs(b) * space.weight, space.balls.measures)
+    out = _center_peaks(space, rows, lambda b: np.abs(b) * space.weight)
     return out[0] if single else out
 
 
@@ -78,13 +71,10 @@ def sharp_maximal(space: DiscreteHomSpace, f) -> np.ndarray:
 @dataclass(frozen=True)
 class KernelSpec:
     """A singular kernel on one space: dense off-diagonal table plus the
-    size constant, smoothness modulus, and its Dini integral."""
+    size constant."""
 
     matrix: np.ndarray
     size_constant: float
-    modulus: TabulatedFunction
-    delta2_constant: float
-    dini_value: float
     name: str = "custom"
 
     def __post_init__(self):
@@ -94,13 +84,7 @@ class KernelSpec:
         object.__setattr__(self, "matrix", m)
 
 
-def _default_modulus() -> TabulatedFunction:
-    # Lipschitz-type modulus w(t) = t; Delta_2 constant 2, Dini integral 1.
-    return TabulatedFunction.power(1.0, np.geomspace(1e-8, 1.0, 65))
-
-
 def kernel_from_matrix(space: DiscreteHomSpace, matrix, name: str = "custom",
-                       modulus: TabulatedFunction | None = None,
                        size_constant: float | None = None) -> KernelSpec:
     """Wrap a dense kernel table; the size constant defaults to the smallest
     C satisfying |K(x,y)| <= C / mu{z: d(x,z) < d(x,y)} on the stored pairs.
@@ -108,7 +92,6 @@ def kernel_from_matrix(space: DiscreteHomSpace, matrix, name: str = "custom",
     m = np.asarray(matrix, dtype=float)
     if m.shape != (space.n, space.n):
         raise ValueError("kernel table shape does not match the space")
-    modulus = modulus or _default_modulus()
     lhs = np.abs(m)
     lhs *= space.balls.open_measure
     np.fill_diagonal(lhs, 0.0)  # the diagonal is never applied: a 0 drops out of the max
@@ -118,9 +101,7 @@ def kernel_from_matrix(space: DiscreteHomSpace, matrix, name: str = "custom",
         raise ValueError(f"kernel entry K({i},{j}) = {m[i, j]} is not finite")
     c = top if size_constant is None else float(size_constant)
     del lhs  # not held while KernelSpec copies the matrix
-    d2 = float(np.max(modulus(2.0 * modulus.xs) / modulus(modulus.xs)))
-    dini = dini_integral(modulus).integral
-    return KernelSpec(m, c, modulus, d2, dini, name=name)
+    return KernelSpec(m, c, name=name)
 
 
 def conjugate_kernel(space: DiscreteHomSpace) -> KernelSpec:
@@ -226,39 +207,3 @@ def commutator(b, op: Callable[[np.ndarray], np.ndarray], f) -> np.ndarray:
     b = np.asarray(b, dtype=float)
     f = np.asarray(f, dtype=float)
     return b * np.asarray(op(f)) - np.asarray(op(b * f))
-
-
-@dataclass(frozen=True)
-class DiniResult:
-    integral: float
-    series: float
-    n_terms: int
-
-
-def dini_integral(w: TabulatedFunction, max_terms: int = 200,
-                  divergence_tol: float = 0.05) -> DiniResult:
-    """Trapezoid value of int_0^1 w(t)/t dt plus the partial sum of w(2^-k).
-
-    The head (0, x_1] uses the table's linear segment through the origin, so
-    w(t)/t is constant there and w(t) = t integrates to exactly 1.  Raises
-    DivergenceSuspected when the dyadic partial sums keep growing at the
-    table's resolution (Cauchy test on the last half of the terms).
-    """
-    x1 = float(w.xs[0])
-    if x1 >= 1.0:
-        raise ValueError("modulus table must start below t = 1")
-    knots = np.unique(np.concatenate([w.xs[w.xs < 1.0], [1.0]]))
-    knots = knots[knots >= x1]
-    vals = w(knots) / knots
-    integral = float(np.trapezoid(vals, knots)) + float(w(x1))
-    n_terms = min(max_terms, max(int(math.floor(math.log2(1.0 / x1))), 1))
-    terms = w(0.5 ** np.arange(1, n_terms + 1))
-    series = float(terms.sum())
-    if n_terms >= 16:
-        tail = float(terms[n_terms // 2:].sum())
-        if series > 0 and tail / series > divergence_tol:
-            raise DivergenceSuspected(
-                f"partial sums still growing: last-half share {tail / series:.3f} "
-                f"over {n_terms} terms")
-    return DiniResult(integral, series, n_terms)
-

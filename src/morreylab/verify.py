@@ -747,7 +747,8 @@ def _check_config_type(key: str, default, val) -> None:
 
 def merge_config(user: dict | None) -> dict:
     """DEFAULT_CONFIG updated by `user`; an unknown key, or a value whose JSON
-    type is not its default's, raises ValueError naming the key."""
+    type is not its default's, raises ValueError naming the key.  A `space`
+    section naming a kind replaces the default's: build_space sizes the kind."""
     cfg = json.loads(json.dumps(DEFAULT_CONFIG))  # deep copy
     for key, val in (user or {}).items():
         if key not in cfg:
@@ -759,6 +760,8 @@ def merge_config(user: dict | None) -> dict:
                 raise ValueError(f"unknown config keys in {key!r}: {sorted(val.keys() - allowed)}")
             for sub, v in val.items():
                 _check_config_type(f"{key}.{sub}", cfg[key].get(sub, ""), v)  # path: a string
+            if key == "space" and "kind" in val:  # the kind's own defaults, not the circle's
+                cfg[key] = {}
             cfg[key].update(val)
         else:
             cfg[key] = val

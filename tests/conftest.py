@@ -49,13 +49,20 @@ REFERENCE_SPACES = {
 }
 
 # stack tests add two spaces whose shells are uneven, so some centers pad
-# their shells with the zero row; the weighted 7 x 7 grid has N = 49 atoms
+# their shells with the zero row; the weighted 7 x 7 grid has N = 49 atoms.
+# Two more have ball measures that depend on the rank alone, as the circle's
+# do, but step rows the sweep gathers: a relabeled circle, whose rows are
+# scattered, and a uniform complete space, whose one wide shell gains the
+# same atom at most centers.
 STACK_SPACES = {
     **REFERENCE_SPACES,
     "interval256": lambda: build_uniform_grid(256, 1, "interval"),
     "grid2d-weighted": lambda: build_from_table(
         build_uniform_grid(7, 2, "interval").dist,
         np.random.default_rng(4).uniform(0.2, 1.8, 49) / 49),
+    "circle64-relabeled": lambda: relabeled(build_uniform_grid(64, 1, "circle"),
+                                            np.random.default_rng(6).permutation(64)),
+    "complete50": lambda: build_from_table(1.0 - np.eye(50), np.full(50, 1.0 / 50)),
 }
 
 

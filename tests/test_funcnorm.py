@@ -232,6 +232,23 @@ class TestMorreyKernel:
             res = morrey_norm_detail(sp, f, p, lam)
             assert (res.value, res.center, res.rank) == reference_morrey_detail(sp, f, p, lam)
 
+    @pytest.mark.parametrize("call", ["maximal", "morrey_norm"])
+    def test_no_rank_table_per_call(self, call):
+        # an (N, R) table of ball measures, or of their powers, takes 4.01 MiB
+        # here: a sweep forms each rank's (N, 1) column as it reaches the rank
+        sp = build_uniform_grid(1024, 1, "circle")
+        fs = np.random.default_rng(38).normal(size=(16, sp.n))
+        run = {"maximal": lambda: maximal(sp, fs),
+               "morrey_norm": lambda: morrey_norm(sp, fs, 2.0, 0.25)}[call]
+        sp.balls.step_table  # the family and its step table are built once per space
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * 2**20, peak
+
     def test_step_table_built_once_per_space(self):
         sp = build_uniform_grid(40, 1, "circle")
         table = sp.balls.step_table
@@ -854,9 +871,15 @@ class TestGrandNormEvaluator:
             assert isinstance(norm, float) and norm == norms[i]
 
     def test_block_size_follows_bytes(self):
-        for n, columns in ((64, 16), (256, 4), (1024, 1)):
-            ev = self.evaluator(build_uniform_grid(n, 1, "circle"))
-            assert (ev.pe.size, ev.columns) == (16, columns), n
+        # (N, C E) arrays a block holds: two for a one-row scale and steps as
+        # runs (the circle), four for an N-row scale (the interval)
+        for kind, widths in (("circle", (32, 8, 2)), ("interval", (16, 4, 1))):
+            for n, columns in zip((64, 256, 1024), widths):
+                ev = self.evaluator(build_uniform_grid(n, 1, kind))
+                assert (ev.pe.size, ev.columns) == (16, columns), (kind, n)
+        # a one-row scale with gathered steps: three
+        ev = self.evaluator(STACK_SPACES["circle64-relabeled"]())
+        assert ev.columns == funcnorm._BLOCK_BYTES // (3 * 8 * 64 * 16) == 21
 
     def test_stack_working_set_is_one_block(self):
         sp = build_uniform_grid(256, 1, "circle")
@@ -904,7 +927,9 @@ SWEEP_BUNDLES = {
 
 
 # spaces of STACK_SPACES on which every center's ball of each rank has the same measure
-RANK_ONLY_MEASURES = {"circle257", "single-atom"}
+RANK_ONLY_MEASURES = {"circle257", "single-atom", "circle64-relabeled", "complete50"}
+# spaces of STACK_SPACES whose step rows are all stored as runs, added as slices
+SLICED_STEPS = {"circle257", "single-atom", "interval256"}
 
 
 def full_width_evaluator(sp, gp):
@@ -966,7 +991,8 @@ class TestGrandSweep:
         varying = GrandNormEvaluator(sp, SWEEP_BUNDLES["varying"]())
         assert varying.mu_pow.shape == (rows, r, varying.pe.size)
 
-    @pytest.mark.parametrize("name", ["circle257", "interval256", "cloud40"])
+    @pytest.mark.parametrize("name", ["circle257", "interval256", "cloud40",
+                                      "circle64-relabeled", "complete50"])
     def test_one_row_scale_matches_full_width(self, name):
         # a varying lam_eff: the constant one is compared in the test above
         sp, gp = STACK_SPACES[name](), SWEEP_BUNDLES["varying"]()
@@ -979,6 +1005,36 @@ class TestGrandSweep:
         assert np.array_equal(ev(fs), full(fs))
         for f in fs:
             assert grand_morrey_norm(sp, f, gp) == ev(f) == full(f)
+
+    @pytest.mark.parametrize("name", STACK_SPACES)
+    def test_step_rows_as_runs(self, name):
+        # every row stored as runs rebuilds its row of the step table, pads N
+        # left out; any other row has more runs than a sweep adds as slices
+        sp = STACK_SPACES[name]()
+        steps, _, runs = sp.balls.step_table
+        for row, row_runs in zip(steps, runs):
+            built = np.full(sp.n, sp.n)
+            for a, b, src in row_runs or ():
+                built[a:b] = np.arange(src, src + b - a)
+            if row_runs is not None:
+                assert np.array_equal(built, row) and len(row_runs) <= 4
+            else:
+                starts = (np.diff(row) != 1) & (row[1:] < sp.n)
+                assert np.count_nonzero(starts) + (row[0] < sp.n) > 4
+        assert (None not in runs) == (name in SLICED_STEPS)
+        if name == "circle257":
+            assert max(map(len, runs)) == 3
+        if name == "interval256":
+            assert max(map(len, runs)) == 2
+
+    @pytest.mark.parametrize("name", STACK_SPACES)
+    def test_reduced_peaks_have_one_row(self, name):
+        # a one-row scale reduces the sweep over centers; an N-row one does not
+        sp = STACK_SPACES[name]()
+        ev = GrandNormEvaluator(sp, SWEEP_BUNDLES["varying"]())
+        f = np.random.default_rng(55).normal(size=(1, sp.n))
+        peak = funcnorm._grand_peaks(sp, f, ev.pe, ev.mu_pow.transpose(1, 0, 2).__getitem__)[0]
+        assert peak.shape == (1 if name in RANK_ONLY_MEASURES else sp.n, 1, ev.pe.size)
 
     def test_rank_only_measures_hold_no_center_axis(self):
         # the (N, R, E) table would hold 64.1 MiB here: 1024 x 513 x 16 doubles

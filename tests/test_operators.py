@@ -8,12 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from morreylab import funcnorm
-from morreylab.funcnorm import GridFunction, TabulatedFunction
+from morreylab.funcnorm import GridFunction
 from morreylab.homspace import build_from_table, build_uniform_grid
-from morreylab.operators import (CZOperator, DiniResult, DivergenceSuspected,
-                                 KernelSizeViolation, PotentialOperator,
-                                 commutator, conjugate_kernel, cz_apply,
-                                 dini_integral, hilbert_kernel,
+from morreylab.operators import (CZOperator, KernelSizeViolation, PotentialOperator,
+                                 commutator, conjugate_kernel, cz_apply, hilbert_kernel,
                                  kernel_from_matrix, maximal, maximal_s,
                                  potential_apply, sharp_maximal, validate_kernel)
 
@@ -426,45 +424,12 @@ class TestCommutatorStacks:
                               [commutator(b, op, f) for b, f in zip(bs, fs)])
 
 
-class TestDini:
-    def test_linear_modulus_exact(self):
-        w = TabulatedFunction.power(1.0, np.geomspace(1e-6, 1.0, 40))
-        res = dini_integral(w)
-        assert res.integral == pytest.approx(1.0, abs=1e-12)
-        # partial dyadic series of 2^-k
-        assert res.series == pytest.approx(1.0 - 2.0 ** -res.n_terms, abs=1e-12)
-
-    def test_sqrt_modulus(self):
-        knots = np.unique(np.concatenate([0.5 ** np.arange(1, 28),
-                                          np.geomspace(2.0 ** -27, 1.0, 400)]))
-        w = TabulatedFunction.power(0.5, knots)
-        res = dini_integral(w)
-        assert res.integral == pytest.approx(2.0, abs=5e-3)
-        expect = (2 ** -0.5 - 2 ** (-(res.n_terms + 1) / 2)) / (1 - 2 ** -0.5)
-        assert res.series == pytest.approx(expect, abs=1e-12)
-
-    def test_slow_divergence_flagged(self):
-        knots = np.geomspace(1e-12, 1.0, 600)
-        w = TabulatedFunction(knots, 1.0 / np.log(np.e / knots))
-        with pytest.raises(DivergenceSuspected):
-            dini_integral(w)
-
-    def test_result_type(self):
-        w = TabulatedFunction.power(1.0, np.geomspace(1e-8, 1.0, 30))
-        assert isinstance(dini_integral(w), DiniResult)
-
-
 class TestKernelSpec:
     def test_builtin_size_constants_finite(self, circle32, grid16):
         for kern, sp in ((conjugate_kernel(circle32), circle32),
                          (hilbert_kernel(grid16), grid16)):
             assert 0 < kern.size_constant < 10.0
             validate_kernel(sp, kern)  # passes by construction
-
-    def test_dini_value_for_default_modulus(self, circle32):
-        kern = conjugate_kernel(circle32)
-        assert kern.dini_value == pytest.approx(1.0, abs=1e-9)
-        assert kern.delta2_constant == pytest.approx(2.0, rel=1e-6)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_entry_rejected(self, grid3, bad):

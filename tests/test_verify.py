@@ -528,6 +528,20 @@ class TestSuiteRunner:
         assert cfg["params"]["p"] == 3.0
         assert cfg["params"]["theta"] == 1.0
 
+    @pytest.mark.parametrize("section, merged, n", [
+        ({"kind": "grid"}, {"kind": "grid"}, 64),
+        ({"kind": "grid2d"}, {"kind": "grid2d"}, 16 * 16),
+        ({"kind": "circle"}, {"kind": "circle"}, 256),
+        ({"n": 128}, {"kind": "circle", "n": 128}, 128),
+        ({"kind": "grid", "n": 12}, {"kind": "grid", "n": 12}, 12),
+    ])
+    def test_space_kind_gets_its_own_default_size(self, section, merged, n):
+        space = merge_config({"space": section})["space"]
+        # checked before building: merged over the default circle's n = 256, a
+        # grid2d section would ask for 256 x 256 atoms
+        assert space == merged
+        assert verify.build_space(space).n == n
+
 
 class TestCheckTable:
     SMALL = {"space": {"kind": "circle", "n": 32}, "corpus": {"size": 16},
