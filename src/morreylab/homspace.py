@@ -179,7 +179,13 @@ class DiscreteHomSpace:
         if np.any(viol):
             i, j = map(int, np.argwhere(viol)[0])
             raise SymmetryViolation(i, j, float(d[i, j]), float(cap[i, j]))
-        # Quasi-triangle, one intermediate point at a time to bound memory.
+        # Quasi-triangle: the cap is non-decreasing in the sum (ct >= 0), so some k
+        # fails iff the least sum over k does; the scan then names the first k.
+        low, tmp = np.full((n, n), np.inf), np.empty((n, n))
+        for k in range(n):
+            np.minimum(low, np.add(d[:, k, None], d[k], out=tmp), out=low)
+        if not np.any(d > self.ct * low * (1.0 + _REL_TOL) + 1e-300):
+            return self
         for k in range(n):
             cap = self.ct * (d[:, k][:, None] + d[k, :][None, :])
             viol = d > cap * (1.0 + _REL_TOL) + 1e-300
@@ -223,19 +229,27 @@ class BallFamily:
         d, w = space.dist, space.weight
         n = space.n
         order = np.argsort(d, axis=1, kind="stable")
-        sd = np.take_along_axis(d, order, axis=1)
+        rows = np.arange(0, n * n, n)[:, None]
+        order += rows  # one flat take, then the row offsets come off again
+        sd = d.take(order)
+        order -= rows
         # Rank boundaries: the last position of each run of equal distances.
         last = np.ones((n, n), dtype=bool)
-        np.not_equal(np.diff(sd, axis=1), 0, out=last[:, :-1])
+        np.not_equal(sd[:, 1:], sd[:, :-1], out=last[:, :-1])
         n_ranks = last.sum(axis=1, dtype=np.int64)
         rmax = int(n_ranks.max())
-        # chains shorter than rmax end at position n - 1, the full space
-        ends = np.full((n, rmax), n - 1, dtype=np.int64)
-        ends[np.arange(rmax) < n_ranks[:, None]] = np.nonzero(last)[1]
+        ends = np.flatnonzero(last)  # flat positions in sd, row by row
         del last
-        radii = np.take_along_axis(sd, ends, axis=1)
-        measures = np.take_along_axis(np.cumsum(w[order], axis=1), ends, axis=1)
-        counts = ends + 1
+        if ends.size < n * rmax:  # chains shorter than rmax repeat their last end
+            ends = ends[np.minimum(np.arange(rmax), n_ranks[:, None] - 1)
+                        + (np.cumsum(n_ranks) - n_ranks)[:, None]]
+        ends = ends.reshape(n, rmax)
+        radii = sd.take(ends)
+        del sd
+        cum_w = w.take(order)
+        measures = np.cumsum(cum_w, axis=1, out=cum_w).take(ends)
+        del cum_w
+        counts = ends - (rows - 1)
         for a in (order, radii, counts, measures, n_ranks):
             a.setflags(write=False)
         return BallFamily(w, order, radii, counts, measures, n_ranks)
@@ -260,27 +274,27 @@ class BallFamily:
         first atom) runs of consecutive atoms that a sweep adds as slices: at
         most 3 on a circle and 2 on an interval, and None past 4 runs."""
         if self._steps is None:
-            n = self.order.shape[0]
-            # the step of a distance position is its rank's first plus its offset
-            sizes = np.diff(self.counts, axis=1, prepend=0)
-            widths = sizes.max(axis=0)
-            offset = np.cumsum(widths) - widths - (self.counts - sizes)
-            step = np.repeat(offset.ravel(), sizes.ravel()).reshape(n, n) + np.arange(n)
-            table = np.full((n, int(widths.sum())), n, dtype=np.int32)
-            np.put_along_axis(table, step, self.order, axis=1)
-            if not 0 <= table.min() <= table.max() <= n:
+            order = self.order
+            n = order.shape[0]
+            if not 0 <= order.min() <= order.max() <= n:
                 raise ValueError(f"step table entries outside [0, {n}]")
-            steps = np.ascontiguousarray(table.T)
+            # bounds[k, c], bounds[k + 1, c]: where center c's rank-k shell starts and ends
+            bounds = np.vstack([np.zeros(n, dtype=int), self.counts.T], dtype=np.int32)
+            widths = np.diff(bounds, axis=0).max(axis=1)
+            rank = np.repeat(np.arange(widths.size), widths)
+            shift = np.arange(rank.size) - np.repeat(np.cumsum(widths) - widths, widths)
+            steps, runs = np.empty((rank.size, n), dtype=np.int32), []
+            row_at = np.arange(0, n * n, n)[:, None]
+            t = 64  # steps a block writes, and centers a tile of it gathers at once
+            for s in range(0, rank.size, t):
+                k, rows = rank[s:s + t], steps[s:s + t]
+                pos = bounds[k] + shift[s:s + t, None]  # each step's position in order's rows
+                for c in range(0, n, t):  # a tile reads t rows of order, not one entry of each
+                    at = pos[:, c:c + t].T + row_at[c:c + t]
+                    rows[:, c:c + t] = order.take(at, mode="clip").T
+                rows[pos >= bounds[k + 1]] = n
+                runs += _step_runs(rows, n)
             steps.setflags(write=False)
-            runs = []
-            for row in steps:  # row by row: (S, N) masks would outgrow the table
-                real = row < n
-                linked = np.zeros(n + 1, dtype=bool)  # row[i - 1] runs on into row[i]
-                linked[1:n] = (np.diff(row) == 1) & real[1:]
-                first = np.flatnonzero(real & ~linked[:n])
-                end = np.flatnonzero(real & ~linked[1:]) + 1
-                runs.append(None if len(first) > 4 else
-                            list(zip(first.tolist(), end.tolist(), row[first].tolist())))
             self._steps = (steps, widths.tolist(), runs)
         return self._steps
 
@@ -306,6 +320,23 @@ class BallFamily:
         return self._open_mu
 
 
+def _step_runs(rows, n):
+    """Each row's (first center, end center, first atom) runs of consecutive
+    atoms, N entries left out, or None past 4 runs."""
+    flat = rows.ravel()
+    real = flat < n
+    linked = np.zeros(flat.size + 1, dtype=bool)  # flat[i - 1] runs on into flat[i]
+    linked[1:-1] = (np.diff(flat) == 1) & real[1:]
+    linked[::n] = False  # not across rows
+    first = (real & ~linked[:-1]).reshape(-1, n)
+    end = (real & ~linked[1:]).reshape(-1, n)
+    n_runs = first.sum(axis=1, dtype=np.int32)
+    first[n_runs > 4] = end[n_runs > 4] = False
+    at, a = np.divmod(np.flatnonzero(first), n)
+    runs = zip(a.tolist(), (np.flatnonzero(end) % n + 1).tolist(), rows[at, a].tolist())
+    return [None if m > 4 else [next(runs) for _ in range(m)] for m in n_runs.tolist()]
+
+
 @dataclass
 class AnnulusReport:
     passed: bool
@@ -326,28 +357,27 @@ def build_uniform_grid(n: int, dim: int = 1, geometry: str = "interval") -> Disc
     # Distances are computed from integer index offsets so that geometric
     # ties are exact floats and collapse into a single radius rank.
     idx = np.arange(n)
+    h = 1.0 / (n - 1)
     if geometry == "circle":
         if dim != 1:
             raise ValueError("circle geometry is one-dimensional")
-        theta = 2.0 * np.pi * idx / n
-        m = np.abs(idx[:, None] - idx[None, :])
-        m = np.minimum(m, n - m)
-        dist = (2.0 * np.pi / n) * m
-        return DiscreteHomSpace(dist, np.full(n, 1.0 / n), 1.0, 1.0, labels=theta)
-    h = 1.0 / (n - 1)
-    if dim == 1:
+        x = 2.0 * np.pi * idx / n
+        table = (2.0 * np.pi / n) * np.minimum(idx, n - idx)
+    elif dim == 1:
         x = (idx * h)[:, None]
-        dist = h * np.abs(idx[:, None] - idx[None, :]).astype(float)
+        table = h * idx.astype(float)
     elif dim == 2:
         ii, jj = np.meshgrid(idx, idx, indexing="ij")
-        ii, jj = ii.ravel(), jj.ravel()
-        x = np.column_stack([ii * h, jj * h])
-        sq = (ii[:, None] - ii[None, :]) ** 2 + (jj[:, None] - jj[None, :]) ** 2
-        dist = h * np.sqrt(sq.astype(float))
+        x = np.column_stack([ii.ravel() * h, jj.ravel() * h])
+        table = h * np.sqrt((idx[:, None] ** 2 + idx[None, :] ** 2).astype(float))
     else:
         raise ValueError("dim must be 1 or 2")
-    m = x.shape[0]
-    return DiscreteHomSpace(dist, np.full(m, 1.0 / m), 1.0, 1.0, labels=x)
+    # d[a, b] = table[|a - b|] along each axis (atoms row-major): a strided view
+    # into ext[n - 1 + k] = table[|k|], copied once
+    ext = table[np.ix_(*[np.abs(np.arange(1 - n, n))] * table.ndim)]
+    dist = np.ndarray(table.shape * 2, float, ext, (n - 1) * sum(ext.strides),
+                      tuple(-s for s in ext.strides) + ext.strides).reshape(len(x), len(x))
+    return DiscreteHomSpace(dist, np.full(len(x), 1.0 / len(x)), 1.0, 1.0, labels=x)
 
 
 def build_from_table(dist_table, weights, ct: float = 1.0, cs: float = 1.0,

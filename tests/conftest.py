@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 
 from morreylab import funcnorm
-from morreylab.homspace import (DegenerateFit, build_from_table, build_uniform_grid,
+from morreylab.homspace import (_REL_TOL, DegenerateFit, DiscreteHomSpace,
+                                NonPositiveWeight, NonZeroDiagonal, QuasiTriangleViolation,
+                                SpaceValidationError, SymmetryViolation,
+                                ZeroDistanceOffDiagonal, build_from_table, build_uniform_grid,
                                 space_from_points)
 
 
@@ -131,6 +134,120 @@ def reference_annulus_witnesses(space):
             if not mus[b] > mus[a]:
                 witnesses.append((c, float(radii[a]), float(radii[b])))
     return witnesses
+
+
+def reference_uniform_grid(n, dim=1, geometry="interval"):
+    """build_uniform_grid as it was when it formed the N x N index offsets,
+    kept verbatim as the reference of the one-row layout."""
+    if n < 2:
+        raise ValueError("need at least 2 points per axis")
+    if geometry not in ("interval", "circle"):
+        raise ValueError(f"unknown geometry {geometry!r}")
+    idx = np.arange(n)
+    if geometry == "circle":
+        if dim != 1:
+            raise ValueError("circle geometry is one-dimensional")
+        theta = 2.0 * np.pi * idx / n
+        m = np.abs(idx[:, None] - idx[None, :])
+        m = np.minimum(m, n - m)
+        dist = (2.0 * np.pi / n) * m
+        return DiscreteHomSpace(dist, np.full(n, 1.0 / n), 1.0, 1.0, labels=theta)
+    h = 1.0 / (n - 1)
+    if dim == 1:
+        x = (idx * h)[:, None]
+        dist = h * np.abs(idx[:, None] - idx[None, :]).astype(float)
+    elif dim == 2:
+        ii, jj = np.meshgrid(idx, idx, indexing="ij")
+        ii, jj = ii.ravel(), jj.ravel()
+        x = np.column_stack([ii * h, jj * h])
+        sq = (ii[:, None] - ii[None, :]) ** 2 + (jj[:, None] - jj[None, :]) ** 2
+        dist = h * np.sqrt(sq.astype(float))
+    else:
+        raise ValueError("dim must be 1 or 2")
+    m = x.shape[0]
+    return DiscreteHomSpace(dist, np.full(m, 1.0 / m), 1.0, 1.0, labels=x)
+
+
+def reference_step_table(bf):
+    """BallFamily.step_table as it was when it put order into an (N, S)
+    table, transposed it and split it into runs row by row; kept verbatim
+    as the reference of the tiled gather."""
+    n = bf.order.shape[0]
+    sizes = np.diff(bf.counts, axis=1, prepend=0)
+    widths = sizes.max(axis=0)
+    offset = np.cumsum(widths) - widths - (bf.counts - sizes)
+    step = np.repeat(offset.ravel(), sizes.ravel()).reshape(n, n) + np.arange(n)
+    table = np.full((n, int(widths.sum())), n, dtype=np.int32)
+    np.put_along_axis(table, step, bf.order, axis=1)
+    if not 0 <= table.min() <= table.max() <= n:
+        raise ValueError(f"step table entries outside [0, {n}]")
+    steps = np.ascontiguousarray(table.T)
+    steps.setflags(write=False)
+    runs = []
+    for row in steps:
+        real = row < n
+        linked = np.zeros(n + 1, dtype=bool)  # row[i - 1] runs on into row[i]
+        linked[1:n] = (np.diff(row) == 1) & real[1:]
+        first = np.flatnonzero(real & ~linked[:n])
+        end = np.flatnonzero(real & ~linked[1:]) + 1
+        runs.append(None if len(first) > 4 else
+                    list(zip(first.tolist(), end.tolist(), row[first].tolist())))
+    return steps, widths.tolist(), runs
+
+
+def reference_validate(space):
+    """DiscreteHomSpace.validate as it was when it tested the quasi-triangle
+    cap at every intermediate point k in turn, kept verbatim: the running
+    minimum must give the same verdict, exception and witness."""
+    d, w = space.dist, space.weight
+    n = space.n
+    if d.ndim != 2 or d.shape[0] != d.shape[1]:
+        raise SpaceValidationError("distance table is not square", ())
+    if w.shape != (n,):
+        raise SpaceValidationError("weight length does not match table", ())
+    bad = np.flatnonzero(~np.isfinite(w))
+    if bad.size:
+        i = int(bad[0])
+        raise SpaceValidationError(f"weight[{i}] = {w[i]} is not finite", (i,))
+    if not np.all(np.isfinite(d)):
+        i, j = map(int, np.argwhere(~np.isfinite(d))[0])
+        raise SpaceValidationError(f"d({i},{j}) = {d[i, j]} is not finite", (i, j))
+    bad = np.flatnonzero(w <= 0)
+    if bad.size:
+        i = int(bad[0])
+        raise NonPositiveWeight(i, float(w[i]))
+    if np.any(d < 0):
+        i, j = map(int, np.argwhere(d < 0)[0])
+        raise SpaceValidationError(f"d({i},{j}) = {d[i, j]:.6g} < 0", (i, j))
+    diag = np.abs(np.diag(d))
+    if np.any(diag > 0):
+        i = int(np.flatnonzero(diag > 0)[0])
+        raise NonZeroDiagonal(i, float(d[i, i]))
+    off = d + np.eye(n)
+    if np.any(off == 0):
+        i, j = map(int, np.argwhere(off == 0)[0])
+        raise ZeroDistanceOffDiagonal(i, j)
+    cap = space.cs * d.T
+    viol = d > cap * (1.0 + _REL_TOL) + 1e-300
+    if np.any(viol):
+        i, j = map(int, np.argwhere(viol)[0])
+        raise SymmetryViolation(i, j, float(d[i, j]), float(cap[i, j]))
+    for k in range(n):
+        cap = space.ct * (d[:, k][:, None] + d[k, :][None, :])
+        viol = d > cap * (1.0 + _REL_TOL) + 1e-300
+        if np.any(viol):
+            i, j = map(int, np.argwhere(viol)[0])
+            raise QuasiTriangleViolation(i, j, k, float(d[i, j]), float(cap[i, j]))
+    return space
+
+
+def validation_outcome(check, space):
+    """(exception type, witness, message) that check(space) raises, or None."""
+    try:
+        check(space)
+    except SpaceValidationError as exc:
+        return type(exc), exc.witness, str(exc)
+    return None
 
 
 def reference_reverse_doubling(space):

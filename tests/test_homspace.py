@@ -19,7 +19,9 @@ from morreylab.homspace import (DegenerateFit, DiscreteHomSpace, NonPositiveWeig
 
 from conftest import (REFERENCE_SPACES, STACK_SPACES, random_cloud,
                       reference_annulus_witnesses, reference_ball_family,
-                      reference_open_measure, reference_reverse_doubling)
+                      reference_open_measure, reference_reverse_doubling,
+                      reference_step_table, reference_uniform_grid, reference_validate,
+                      validation_outcome)
 
 # the stack spaces, two atoms, and a table accepted only with cs > 1 whose
 # rows rank the atoms differently (row 0 ties two atoms at its diameter)
@@ -68,6 +70,28 @@ class TestBuilders:
         with pytest.raises(ValueError):
             build_uniform_grid(8, 2, "circle")
 
+    @pytest.mark.parametrize("n, dim, geometry", [
+        (2, 1, "circle"), (3, 1, "circle"), (8, 1, "circle"), (257, 1, "circle"),
+        (1024, 1, "circle"), (2, 1, "interval"), (3, 1, "interval"), (256, 1, "interval"),
+        (2, 2, "interval"), (6, 2, "interval"), (7, 2, "interval"),
+    ])
+    def test_matches_reference_builder(self, n, dim, geometry):
+        got, want = build_uniform_grid(n, dim, geometry), reference_uniform_grid(n, dim, geometry)
+        for g, w in ((got.dist, want.dist), (got.weight, want.weight), (got.labels, want.labels)):
+            assert g.dtype == w.dtype and g.shape == w.shape and np.array_equal(g, w)
+            assert g.flags.c_contiguous and not g.flags.writeable
+        assert (got.ct, got.cs) == (want.ct, want.cs)
+
+    def test_grid_copies_one_table(self):
+        # the N x N index offsets, their minimum and the float product took three tables
+        tracemalloc.start()
+        try:
+            sp = build_uniform_grid(1024, 1, "circle")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * 8 * sp.n**2, peak
+
 
 class TestIngestion:
     def test_round_trip(self, grid3):
@@ -111,6 +135,23 @@ class TestIngestion:
         with pytest.raises(SpaceValidationError, match="not finite") as err:
             load_space_json(path)
         assert err.value.witness == witness
+
+    @pytest.mark.parametrize("dist, weight, ct, cs", [
+        ([[0, 1, 5], [1, 0, 1], [5, 1, 0]], [1, 1, 1], 1.0, 1.0),
+        # only d(1, 3) = 2.5 > d(1, 2) + d(2, 3) = 2 fails, so the witness's k is 2
+        ([[0, 1, 2, 3, 4], [1, 0, 1, 2.5, 3], [2, 1, 0, 1, 2], [3, 2.5, 1, 0, 1],
+          [4, 3, 2, 1, 0]], [1, 1, 1, 1, 1], 1.0, 1.0),
+        ([[0, 1, 5], [1, 0, 1], [5, 1, 0]], [1, 1, 1], 2.5, 1.0),
+        ([[0, 1], [3, 0]], [1, 1], 2.0, 1.0),
+        ([[0, 0], [0, 0]], [1, 1], 1.0, 1.0),
+    ], ids=["triangle", "triangle-late-k", "triangle-within-ct", "symmetry",
+            "zero-off-diagonal"])
+    def test_verdict_matches_reference(self, dist, weight, ct, cs):
+        # the running minimum over k decides; the scan over k names the witness
+        sp = DiscreteHomSpace(dist, weight, ct, cs)
+        got = validation_outcome(DiscreteHomSpace.validate, sp)
+        assert got == validation_outcome(reference_validate, sp)
+        assert (got is None) == (ct == 2.5)
 
     def test_quasi_triangle_accepts_with_larger_ct(self):
         d = [[0, 1, 5], [1, 0, 1], [5, 1, 0]]
@@ -220,6 +261,24 @@ class TestBallFamily:
             assert g.dtype == w.dtype and np.array_equal(g, w)
             assert not g.flags.writeable
         assert check_annulus(sp).witnesses == reference_annulus_witnesses(sp) == []
+        steps, widths, runs = bf.step_table
+        want_steps, want_widths, want_runs = reference_step_table(bf)
+        assert steps.dtype == want_steps.dtype and np.array_equal(steps, want_steps)
+        assert steps.flags.c_contiguous and not steps.flags.writeable
+        assert widths == want_widths and all(type(x) is int for x in widths)
+        assert runs == want_runs
+
+    def test_step_table_working_set(self):
+        # the (N, N) step positions, the (N, S) table and its transposed copy,
+        # held together, peaked at 24.5 MiB here
+        bf = build_uniform_grid(1024, 1, "circle").balls
+        tracemalloc.start()
+        try:
+            bf.step_table
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 10 * 2**20, peak
 
     def test_open_measure_holds_at_most_two_tables(self):
         sp = build_uniform_grid(512, 1, "circle")
@@ -387,3 +446,29 @@ def test_triangle_violations_are_caught(n, seed):
     d[i, j] = d[j, i] = 10.0 * d.max() + 1.0  # break the triangle through any k
     with pytest.raises(QuasiTriangleViolation):
         build_from_table(d, np.full(n, 1.0 / n))
+    sp = DiscreteHomSpace(d, np.full(n, 1.0 / n))
+    want = validation_outcome(reference_validate, sp)
+    assert want[0] is QuasiTriangleViolation
+    assert validation_outcome(DiscreteHomSpace.validate, sp) == want
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(min_value=1, max_value=24), st.integers(min_value=0, max_value=10**6),
+       st.booleans())
+def test_cloud_tables_match_references(n, seed, lattice):
+    # lattice points tie many distances, uniform points none
+    rng = np.random.default_rng(seed)
+    pts = (np.stack(np.divmod(rng.choice(64, n, replace=False), 8), axis=1).astype(float)
+           if lattice else rng.random((n, 2)))
+    sp = DiscreteHomSpace(np.sqrt(((pts[:, None] - pts[None]) ** 2).sum(-1)),
+                          rng.uniform(0.5, 1.5, n) / n)
+    assert validation_outcome(DiscreteHomSpace.validate, sp) is None
+    assert validation_outcome(reference_validate, sp) is None
+    bf = sp.balls
+    for g, w in zip((bf.order, bf.radii, bf.counts, bf.measures, bf.n_ranks),
+                    reference_ball_family(sp)):
+        assert g.dtype == w.dtype and np.array_equal(g, w)
+    steps, widths, runs = bf.step_table
+    want_steps, want_widths, want_runs = reference_step_table(bf)
+    assert steps.dtype == want_steps.dtype and np.array_equal(steps, want_steps)
+    assert widths == want_widths and runs == want_runs
