@@ -385,14 +385,15 @@ def _center_peaks(space: DiscreteHomSpace, rows: np.ndarray, terms,
     return out
 
 
-def _grand_peaks(space: DiscreteHomSpace, rows: np.ndarray, pe: np.ndarray, scale):
-    """(N', C, E) peaks over ranks of scale(k) sum_B |f|^(p-eps) w for a (C, N) block
-    of inputs, scale(k) being rank k's (N', E) mu^(-lam_eff), N' in {1, N}, and the
-    powers swept."""
+def _grand_peaks(space: DiscreteHomSpace, rows: np.ndarray, at, pe: np.ndarray, scale):
+    """(N', C, E) peaks over ranks of scale(k) sum_B |f|^(p-eps) w for (C, E) (input, eps)
+    columns, input rows[at[c, e]] raised to pe[c, e], scale(k) being rank k's (N', E)
+    mu^(-lam_eff), N' in {1, N}, and the powers swept."""
     n = space.n
-    powers = np.zeros((n + 1, len(rows), pe.size))  # row n pads short shells
-    np.power(np.abs(rows.T)[:, :, None], pe, out=powers[:n])
-    powers[:n] *= space.weight[:, None, None]
+    powers = np.zeros((n + 1, *pe.shape))  # row n pads short shells
+    terms = rows.T.take(at, axis=1, out=powers[:n])
+    np.power(np.abs(terms, out=terms), pe, out=terms)
+    terms *= space.weight[:, None, None]
     return _ball_peaks(space, powers, scale, np.multiply), powers
 
 
@@ -584,17 +585,51 @@ def _rank_measures(bf) -> np.ndarray:
     return bf.measures[:1] if np.all(bf.measures == bf.measures[:1]) else bf.measures
 
 
+def _column_bounds(bf, mu: np.ndarray, lam_eff: np.ndarray):
+    """(cmax_k - 1, smax, sfull, satom) of `_column_range` from the (N', R) measures mu."""
+    lo, hi, neg = mu.min(axis=0), mu.max(axis=0), -lam_eff
+    return bf.counts.max(axis=0) - 1, lo ** neg[:, None], hi[-1] ** neg, hi[0] ** neg
+
+
+def _column_range(space: DiscreteHomSpace, rows, pe, phi_pow, last, smax, sfull, satom):
+    """(M, E) upper and lower bounds of each (input, eps) column's weighted norm: with P(m)
+    the sum of the input's m largest terms |f|^(p - eps) w, phi_pow times the 1/(p - eps)
+    power of max_k P(cmax_k) smax_k and of max(P(N) sfull, P(1) satom), cmax_k and smax_k
+    rank k's largest count and scale mu(B)^(-lam_eff), sfull and satom the least scales of
+    the whole space and of one atom, balls every sweep evaluates.  An N-term sum rounds by
+    at most N 2^-53 relative, 1e-13 at N = 1024: the 1e-9 margins cover N up to about 1e6.
+    Inputs go in chunks whose (m, E, N) arrays fit `_BLOCK_BYTES`; an input with a lower
+    bound under tiny / 1e-9 or at inf gets lower bounds -inf, all its columns swept."""
+    upper, lower = np.empty((2, len(rows), pe.size))
+    chunk = max(1, _BLOCK_BYTES // (3 * 8 * space.n * pe.size))
+    for c0 in range(0, len(rows), chunk):
+        sums = np.power(np.abs(rows[c0:c0 + chunk, None, :]), pe[:, None])
+        sums *= -space.weight  # negated, so an ascending sort puts the largest first
+        sums.sort(axis=2)
+        np.negative(np.cumsum(sums, axis=2, out=sums), out=sums)  # P(m) at m - 1
+        upper[c0:c0 + chunk] = np.max(sums[:, :, last] * smax, axis=2)
+        lower[c0:c0 + chunk] = np.maximum(sums[:, :, -1] * sfull, sums[:, :, 0] * satom)
+    pre, root = lower, lower ** (1.0 / pe)
+    upper, lower = upper ** (1.0 / pe) * phi_pow * (1 + 1e-9), root * phi_pow * (1 - 1e-9)
+    # under tiny / 1e-9 subnormal steps are no small relative error; at inf a sweep may be finite
+    sound = (np.min([pre, root, lower], axis=0) >= np.finfo(float).tiny * 1e9) & (lower < np.inf)
+    lower[~sound.all(axis=1)] = -np.inf
+    return upper, lower
+
+
 def phi_functional_detail(space: DiscreteHomSpace, f, params: GrandParams,
                           s: float) -> NormResult:
-    """phi_functional and its first maximising eps, then center, then rank: one shell
-    sweep of the grid below s, forming mu(B)^(-lam_eff) per rank in O(N E) memory, and
+    """phi_functional and its first maximising eps, then center, then rank: one shell sweep
+    of the eps below s that `_column_range` keeps, mu(B)^(-lam_eff) formed per rank, and
     after a sweep reduced over centers a per-center one of the maximising eps alone."""
     if not (0 < s <= params.smax * (1 + 1e-12)):
         raise ValueError("need 0 < s <= s_max")
     grid, pe, lam_eff, phi_pow = _grand_grid(params, s)
-    bf, neg = space.balls, _scale_exponents(lam_eff)
-    mu = _rank_measures(bf)
-    peak, powers = _grand_peaks(space, as_values(space, f)[None], pe,
+    bf, v, mu = space.balls, as_values(space, f), _rank_measures(space.balls)
+    upper, lower = _column_range(space, v[None], pe, phi_pow, *_column_bounds(bf, mu, lam_eff))
+    live = upper[0] >= lower.max()
+    grid, pe, phi_pow, neg = grid[live], pe[live], phi_pow[live], _scale_exponents(lam_eff[live])
+    peak, powers = _grand_peaks(space, v[None], np.zeros((1, pe.size), int), pe[None],
                                 lambda k: mu[:, k, None] ** neg)
     vals = phi_pow * peak[:, 0].max(axis=0) ** (1.0 / pe)
     e = int(np.argmax(vals))
@@ -633,16 +668,16 @@ class GrandNormEvaluator:
     lam_eff is the same at every grid point it holds one column, (N, R, 1),
     and when every center's ball of each rank has the same measure one row,
     (1, R, E): the sweep broadcasts the column over eps, and with one row it
-    takes each rank's maximum over centers before scaling it.  Inputs are
-    swept by `_grand_peaks`, as in grand_morrey_norm, in column blocks of C
-    inputs, C sized so the arrays the sweep holds fit `_BLOCK_BYTES`; the grand
-    norm of one input equals grand_morrey_norm bit for bit.
+    takes each rank's maximum over centers before scaling it.  (input, eps)
+    columns are swept by `_grand_peaks`, C E at a time, C sized so the arrays
+    the sweep holds fit `_BLOCK_BYTES`.  A vector sweeps all E columns of an
+    input, a norm those whose upper bound reaches the input's largest lower
+    bound (`_column_range`), so it is `weighted_vector`'s maximum bit for bit.
 
-    Results are memoised per input row in the space's ball family, keyed by
-    (p - eps, lam_eff), so every evaluator of the space with those exponents
-    shares them, and the memo lives as long as the space.  The memo is the
-    only state calls share and its get and set are atomic, so threads may
-    share it (two may compute one new input twice).
+    Vectors, and norms keyed also by the phi weights, are memoised per input row in
+    the ball family under (p - eps, lam_eff) while the space lives; a memoised vector
+    gives its norm.  The memos are the only state calls share and their gets and sets
+    are atomic, so threads may share them (two may compute one new input twice).
     """
 
     def __init__(self, space: DiscreteHomSpace, params: GrandParams):
@@ -650,36 +685,53 @@ class GrandNormEvaluator:
         self.params = params
         bf = space.balls
         self.grid, self.pe, lam_eff, self.phi_pow = _grand_grid(params, params.smax)
+        mu, key = _rank_measures(bf), (self.pe.tobytes(), lam_eff.tobytes())
         # mu^(-lam_eff) indexed (N, R, E), stored (R, N, E), E = 1 for a constant
         # lam_eff and N = 1 for measures that depend on the rank alone
-        self.mu_pow = (np.ascontiguousarray(_rank_measures(bf).T)[:, :, None]
+        self.mu_pow = (np.ascontiguousarray(mu.T)[:, :, None]
                        ** _scale_exponents(lam_eff)).transpose(1, 0, 2)
-        self._memo: dict[bytes, np.ndarray] = bf.memo.setdefault(
-            ("grand", self.pe.tobytes(), lam_eff.tobytes()), {})
+        self._bounds = _column_bounds(bf, mu, lam_eff)
+        self._memo: dict[bytes, np.ndarray] = bf.memo.setdefault(("grand", *key), {})
+        self._norms = bf.memo.setdefault(("grand-norm", *key, self.phi_pow.tobytes()), {})
 
     @cached_property
     def columns(self) -> int:
-        """Inputs per column block: powers and run are (N, C E), and so are a gather
-        buffer and, unless a one-row scale reduces over centers, the scaled sums and peaks."""
+        """Inputs per column block, C E columns in a norm's: powers and run are (N, C E), and
+        so are a gather buffer and, unless a one-row scale reduces over centers, the peaks."""
         per_center = self.mu_pow.shape[0] > 1
         held = 2 + (per_center or None in self.space.balls.step_table[2]) + per_center
         return max(1, _BLOCK_BYTES // (held * 8 * self.space.n * self.pe.size))
 
+    def _missing(self, f, *memos: dict):
+        """f's rows that no memo holds (first of each key), whether f is one row, keys, missing."""
+        rows, single = _as_rows(self.space, f)
+        keys = [hashlib.blake2b(r.tobytes(), digest_size=16).digest() for r in rows]
+        todo: dict[bytes, int] = {}
+        for i, key in enumerate(keys):
+            if all(key not in memo for memo in memos):
+                todo.setdefault(key, i)
+        return rows[list(todo.values())] if len(todo) < len(rows) else rows, single, keys, todo
+
+    def _sweep(self, rows: np.ndarray, at: np.ndarray, ex: np.ndarray, whole: bool):
+        """Morrey norms of the (input, eps) columns (rows[at], ex), at ascending, C E a block:
+        (C, E) for whole inputs, rank k's scale broadcast, or (1, X), each column's gathered."""
+        scales, out = self.mu_pow.transpose(1, 0, 2), np.empty(len(at))
+        shape, width = (-1, self.pe.size) if whole else (1, -1), self.columns * self.pe.size
+        for c0 in range(0, len(at), width):
+            a, x = at[c0:c0 + width], ex[c0:c0 + width]
+            pick = slice(None) if whole or scales.shape[2] == 1 else x
+            pe = self.pe[x].reshape(shape)
+            peak = _grand_peaks(self.space, rows[a[0]:a[-1] + 1], a.reshape(shape) - a[0], pe,
+                                lambda k: scales[k][..., pick])[0]
+            out[c0:c0 + width] = (peak.max(axis=0) ** (1.0 / pe)).ravel()
+        return out
+
     def morrey_vector(self, f) -> np.ndarray:
         """Per-grid-point Morrey norms ||f||_{p-eps, lam-A(eps)}: shape (E,)
         for one input, (M, E) for a stack of M."""
-        rows, single = _as_rows(self.space, f)
-        keys = [hashlib.blake2b(r.tobytes(), digest_size=16).digest() for r in rows]
-        todo: dict[bytes, int] = {}  # first row of each input the memo lacks
-        for i, key in enumerate(keys):
-            if key not in self._memo:
-                todo.setdefault(key, i)
-        missing, at = list(todo), list(todo.values())
-        scale = self.mu_pow.transpose(1, 0, 2).__getitem__
-        for c0 in range(0, len(missing), self.columns):
-            c1 = c0 + self.columns
-            peak = _grand_peaks(self.space, rows[at[c0:c1]], self.pe, scale)[0]
-            self._memo.update(zip(missing[c0:c1], peak.max(axis=0) ** (1.0 / self.pe)))
+        rows, single, keys, todo = self._missing(f, self._memo)
+        at, ex = np.divmod(np.arange(len(rows) * self.pe.size), self.pe.size)
+        self._memo.update(zip(todo, self._sweep(rows, at, ex, True).reshape(-1, self.pe.size)))
         out = np.array([self._memo[key] for key in keys]).reshape(len(keys), self.pe.size)
         return out[0] if single else out
 
@@ -689,5 +741,13 @@ class GrandNormEvaluator:
 
     def __call__(self, f):
         """The grand norm: a float for one input, an (M,) array for a stack."""
-        out = self.weighted_vector(f).max(axis=-1)
-        return float(out) if out.ndim == 0 else out
+        rows, single, keys, todo = self._missing(f, self._norms, self._memo)
+        upper, lower = _column_range(self.space, rows, self.pe, self.phi_pow, *self._bounds)
+        at, ex = np.nonzero(upper >= lower.max(axis=1, keepdims=True))
+        out = np.zeros(len(rows))
+        np.maximum.at(out, at, self.phi_pow[ex] * self._sweep(rows, at, ex, False))
+        self._norms.update(zip(todo, out))
+        self._norms.update({key: (self.phi_pow * self._memo[key]).max()  # from swept vectors
+                            for key in keys if key not in self._norms})
+        out = np.array([self._norms[key] for key in keys])
+        return float(out[0]) if single else out

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from morreylab import funcnorm
+from morreylab import funcnorm, verify
+from morreylab.corpus import make_corpus
 from morreylab.funcnorm import (EmptyGrid, GrandNormEvaluator, GrandParams,
                                 GridFunction, NormResult, TabulatedFunction,
                                 _oscillation_peaks, bmo_norm, default_eps_grid,
@@ -944,12 +945,13 @@ def full_width_evaluator(sp, gp):
 
 
 def counting_sweeps(monkeypatch):
-    """Wrap funcnorm._grand_peaks; the returned list gains each swept row."""
+    """Wrap funcnorm._grand_peaks; the returned list gains each swept (input, p - eps)
+    column."""
     swept, real = [], funcnorm._grand_peaks
 
-    def counting(space, rows, *args):
-        swept.extend(r.tobytes() for r in rows)
-        return real(space, rows, *args)
+    def counting(space, rows, at, pe, *args):
+        swept.extend(zip((rows[i].tobytes() for i in at.ravel()), pe.ravel()))
+        return real(space, rows, at, pe, *args)
 
     monkeypatch.setattr(funcnorm, "_grand_peaks", counting)
     return swept
@@ -1033,7 +1035,8 @@ class TestGrandSweep:
         sp = STACK_SPACES[name]()
         ev = GrandNormEvaluator(sp, SWEEP_BUNDLES["varying"]())
         f = np.random.default_rng(55).normal(size=(1, sp.n))
-        peak = funcnorm._grand_peaks(sp, f, ev.pe, ev.mu_pow.transpose(1, 0, 2).__getitem__)[0]
+        peak = funcnorm._grand_peaks(sp, f, np.zeros((1, ev.pe.size), int), ev.pe[None],
+                                     ev.mu_pow.transpose(1, 0, 2).__getitem__)[0]
         assert peak.shape == (1 if name in RANK_ONLY_MEASURES else sp.n, 1, ev.pe.size)
 
     def test_rank_only_measures_hold_no_center_axis(self):
@@ -1061,7 +1064,7 @@ class TestGrandSweep:
         first = ev1.morrey_vector(fs[:4])
         second = ev2.morrey_vector(fs)
         assert ev2._memo is ev1._memo
-        assert sorted(swept) == sorted(f.tobytes() for f in fs)  # each input once
+        assert sorted(swept) == sorted((f.tobytes(), pe) for f in fs for pe in ev2.pe)  # once
         assert np.array_equal(second[:4], first)
         assert not np.array_equal(ev1.weighted_vector(fs), ev2.weighted_vector(fs))
         for f, row in zip(fs, second):
@@ -1081,7 +1084,7 @@ class TestGrandSweep:
             (sp, base), (sp, other_a), (sp, other_lam), (sp, other_p),
             (build_uniform_grid(48, 1, "circle"), base))]  # an equal but separate space
         vectors = [ev.morrey_vector(f) for ev in evs]
-        assert len(swept) == len(evs)
+        assert len(swept) == sum(ev.pe.size for ev in evs)
         assert len({id(ev._memo) for ev in evs}) == len(evs)
         assert np.array_equal(vectors[-1], vectors[0])
         for ev, v in zip(evs, vectors):
@@ -1096,6 +1099,124 @@ class TestGrandSweep:
         del ev, sp, stored
         gc.collect()
         assert ref() is None
+
+
+# verify's four grand bundles, and one whose lam_eff is 0 at every grid point
+NORM_BUNDLES = {
+    **SWEEP_BUNDLES,  # the phi bundle with A, and the plain one (A = 0)
+    "potential-in": lambda: verify._potential_bundles(2.0, 0.25, 0.25, 1.0, 0.5, 0.05, 16)[1],
+    "potential-out": lambda: verify._potential_bundles(2.0, 0.25, 0.25, 1.0, 0.5, 0.05, 16)[2],
+    "lambda-zero": lambda: GrandParams.power(2.0, 0.0, 1.0, max_points=16, ratio=0.7),
+}
+
+
+def norm_stack(n, seed):
+    """Random rows, a row of small integers (value ties and exact zeros), an all-zero
+    row, a lone spike, a constant and a repeat of the first row."""
+    rng = np.random.default_rng(seed)
+    fs = rng.normal(size=(7, n)) * rng.exponential(size=(7, n))
+    fs[1] = rng.integers(-2, 3, size=n)
+    fs[2] = 0.0
+    fs[3] = spiked(n, seed)
+    fs[4] = -1.5
+    fs[6] = fs[0]
+    return fs
+
+
+class TestPrunedNorm:
+    """A norm sweeps only the eps columns whose upper bound reaches the best lower
+    bound, and equals the maximum of the full weighted vector bit for bit."""
+
+    @pytest.mark.parametrize("bundle", NORM_BUNDLES)
+    @pytest.mark.parametrize("make", STACK_SPACES.values(), ids=STACK_SPACES.keys())
+    def test_norm_is_the_vector_maximum(self, make, bundle):
+        sp, gp = make(), NORM_BUNDLES[bundle]()
+        fs = norm_stack(sp.n, 60)
+        ev = GrandNormEvaluator(make(), gp)  # another space: its vectors give no norm of sp
+        want = (ev.phi_pow * ev.morrey_vector(fs)).max(axis=1)
+        got = GrandNormEvaluator(sp, gp)(fs)
+        assert got.shape == (len(fs),) and np.array_equal(got, want)
+        one = GrandNormEvaluator(make(), gp)
+        for f, value in zip(fs, want):
+            norm = one(f)
+            assert type(norm) is float and norm == value == grand_morrey_norm(sp, f, gp)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from(["cloud", "circle"]), st.integers(min_value=2, max_value=40),
+           st.integers(min_value=0, max_value=2**31 - 1), st.sampled_from(list(NORM_BUNDLES)))
+    def test_bounds_hold_every_column(self, kind, n, seed, bundle):
+        sp = random_cloud(n, seed % 997) if kind == "cloud" else build_uniform_grid(n, 1, kind)
+        ev = GrandNormEvaluator(sp, NORM_BUNDLES[bundle]())
+        fs = norm_stack(n, seed)
+        upper, lower = funcnorm._column_range(sp, fs, ev.pe, ev.phi_pow, *ev._bounds)
+        values = ev.weighted_vector(fs)
+        assert np.all(lower <= values) and np.all(values <= upper)
+
+    def test_norm_sweeps_few_columns(self, monkeypatch):
+        sp = build_uniform_grid(64, 1, "circle")
+        ev = GrandNormEvaluator(sp, NORM_BUNDLES["varying"]())
+        fs = make_corpus(sp, "mixed", 64, 7).samples
+        columns = counting_sweeps(monkeypatch)
+        norms = ev(fs)
+        swept = len(columns)
+        assert swept <= 3 * len(fs), swept
+        vectors = ev.weighted_vector(fs)
+        assert len(columns) - swept == ev.pe.size * len(fs) == 16 * len(fs)
+        assert np.array_equal(norms, vectors.max(axis=1))
+
+    def test_memo_in_both_orders(self, monkeypatch):
+        fs = np.random.default_rng(61).normal(size=(5, 48))
+        gp = NORM_BUNDLES["varying"]()
+        columns = counting_sweeps(monkeypatch)
+        # a vector first: the norm is read from it, with no sweep
+        ev = GrandNormEvaluator(build_uniform_grid(48, 1, "circle"), gp)
+        vectors = ev.weighted_vector(fs)
+        del columns[:]
+        assert np.array_equal(ev(fs), vectors.max(axis=1)) and columns == []
+        # a norm first: it sweeps a few columns, and the vector swept after it agrees
+        sp = build_uniform_grid(48, 1, "circle")
+        ev = GrandNormEvaluator(sp, gp)
+        norms = ev(fs)
+        assert 0 < len(columns) < ev.pe.size * len(fs)
+        assert np.array_equal((ev.phi_pow * ev.morrey_vector(fs)).max(axis=1), norms)
+        del columns[:]
+        assert np.array_equal(ev(fs), norms) and columns == []
+        # other phi weights on the same exponents share the vectors, not the norms
+        other = GrandNormEvaluator(sp, GrandParams.power(
+            2.0, 0.25, 2.0, A=TabulatedFunction.linear(0.5, np.linspace(0.0, 1.0, 33)[1:]),
+            max_points=16, ratio=0.7))
+        assert other._memo is ev._memo and other._norms is not ev._norms
+        assert np.array_equal(other(fs), other.weighted_vector(fs).max(axis=1))
+        assert columns == []
+
+    @pytest.mark.parametrize("size", [1e-160, 1e160])
+    def test_norms_near_the_ends_of_the_float_range(self, size):
+        # terms |f|^(p - eps) w near 1e-320 round by subnormal steps, no small relative
+        # error, and near 1e320 a sorted sum overflows where a sweep's may not: every
+        # column of such an input is swept
+        sp, gp = STACK_SPACES["cloud40"](), NORM_BUNDLES["varying"]()
+        fs = norm_stack(sp.n, 63) * size
+        ev = GrandNormEvaluator(STACK_SPACES["cloud40"](), gp)
+        with np.errstate(over="ignore"):
+            lower = funcnorm._column_range(sp, fs, ev.pe, ev.phi_pow, *ev._bounds)[1]
+            want = (ev.phi_pow * ev.morrey_vector(fs)).max(axis=1)
+            assert np.array_equal(GrandNormEvaluator(sp, gp)(fs), want)
+        assert np.all(lower == -np.inf)
+
+    def test_norm_working_set_is_bounded(self):
+        # a block's powers and sums fit the budget, and so do the bounds' chunks.  The
+        # stack's (M, E, N) terms alone would take 16 times the budget
+        sp = build_uniform_grid(256, 1, "circle")
+        ev = GrandNormEvaluator(sp, NORM_BUNDLES["varying"]())
+        fs = np.random.default_rng(62).normal(size=(256, sp.n))
+        sp.balls.step_table  # built once per space, not per call
+        tracemalloc.start()
+        try:
+            ev(fs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * funcnorm._BLOCK_BYTES, peak
 
 
 class TestNormAxioms:

@@ -685,15 +685,20 @@ def with_zero_f_and_constant_b(size=12):
 
 
 def one_row_at_a_time(monkeypatch):
-    """Make every evaluator sweep a stack one input per call."""
-    real = GrandNormEvaluator.morrey_vector
+    """Make every evaluator sweep a stack one input per call, for vectors and for norms:
+    a norm call sweeps its own columns, not through morrey_vector."""
+    vector, norm = GrandNormEvaluator.morrey_vector, GrandNormEvaluator.__call__
 
-    def rowwise(ev, f):
+    def vectors(ev, f):
         if np.ndim(f) == 1:
-            return real(ev, f)
-        return np.array([real(ev, r) for r in f]).reshape(len(f), ev.pe.size)
+            return vector(ev, f)
+        return np.array([vector(ev, r) for r in f]).reshape(len(f), ev.pe.size)
 
-    monkeypatch.setattr(GrandNormEvaluator, "morrey_vector", rowwise)
+    def norms(ev, f):
+        return norm(ev, f) if np.ndim(f) == 1 else np.array([norm(ev, r) for r in f])
+
+    monkeypatch.setattr(GrandNormEvaluator, "morrey_vector", vectors)
+    monkeypatch.setattr(GrandNormEvaluator, "__call__", norms)
 
 
 class TestBatchedRatios:
@@ -767,6 +772,7 @@ class TestBatchedRatios:
             ]).encode()
 
         batched = reports()
+        CIRC32.balls.memo.clear()  # so that the row-wise run sweeps every input again
         one_row_at_a_time(monkeypatch)
         assert reports() == batched
 
