@@ -617,6 +617,13 @@ def _column_range(space: DiscreteHomSpace, rows, pe, phi_pow, last, smax, sfull,
     return upper, lower
 
 
+def _live_columns(upper, lower, cuts) -> np.ndarray:
+    """(M, cuts[-1]) mask of the columns that can attain Phi at some non-decreasing cut: e's
+    `_column_range` upper bound reaches the largest lower bound below the first cut above e."""
+    below = np.maximum.accumulate(lower, axis=1)[:, cuts - 1]
+    return upper >= below[:, np.searchsorted(cuts, np.arange(cuts[-1]), side="right")]
+
+
 def phi_functional_detail(space: DiscreteHomSpace, f, params: GrandParams,
                           s: float) -> NormResult:
     """phi_functional and its first maximising eps, then center, then rank: one shell sweep
@@ -627,7 +634,7 @@ def phi_functional_detail(space: DiscreteHomSpace, f, params: GrandParams,
     grid, pe, lam_eff, phi_pow = _grand_grid(params, s)
     bf, v, mu = space.balls, as_values(space, f), _rank_measures(space.balls)
     upper, lower = _column_range(space, v[None], pe, phi_pow, *_column_bounds(bf, mu, lam_eff))
-    live = upper[0] >= lower.max()
+    live = _live_columns(upper, lower, np.array([pe.size]))[0]
     grid, pe, phi_pow, neg = grid[live], pe[live], phi_pow[live], _scale_exponents(lam_eff[live])
     peak, powers = _grand_peaks(space, v[None], np.zeros((1, pe.size), int), pe[None],
                                 lambda k: mu[:, k, None] ** neg)
@@ -671,13 +678,13 @@ class GrandNormEvaluator:
     takes each rank's maximum over centers before scaling it.  (input, eps)
     columns are swept by `_grand_peaks`, C E at a time, C sized so the arrays
     the sweep holds fit `_BLOCK_BYTES`.  A vector sweeps all E columns of an
-    input, a norm those whose upper bound reaches the input's largest lower
-    bound (`_column_range`), so it is `weighted_vector`'s maximum bit for bit.
+    input; Phi at cuts (`phi_at`, the norm its one cut at E) those that
+    `_live_columns` keeps, so it is `weighted_vector`'s prefix maximum bit for bit.
 
-    Vectors, and norms keyed also by the phi weights, are memoised per input row in
-    the ball family under (p - eps, lam_eff) while the space lives; a memoised vector
-    gives its norm.  The memos are the only state calls share and their gets and sets
-    are atomic, so threads may share them (two may compute one new input twice).
+    Vectors and Phi memoise swept columns per input row as (E,) rows, NaN where not swept, and
+    norms their values keyed also by the phi weights, in the ball family under (p - eps, lam_eff)
+    while the space lives; a call sweeps only the columns it needs and the memo lacks.  The memos
+    are the only state calls share; their gets and sets are atomic, so threads may share them.
     """
 
     def __init__(self, space: DiscreteHomSpace, params: GrandParams):
@@ -702,15 +709,25 @@ class GrandNormEvaluator:
         held = 2 + (per_center or None in self.space.balls.step_table[2]) + per_center
         return max(1, _BLOCK_BYTES // (held * 8 * self.space.n * self.pe.size))
 
-    def _missing(self, f, *memos: dict):
-        """f's rows that no memo holds (first of each key), whether f is one row, keys, missing."""
+    def _missing(self, f, memo=()):
+        """f's rows that `memo` lacks (first of each key), whether f is one row, keys, missing."""
         rows, single = _as_rows(self.space, f)
         keys = [hashlib.blake2b(r.tobytes(), digest_size=16).digest() for r in rows]
         todo: dict[bytes, int] = {}
         for i, key in enumerate(keys):
-            if all(key not in memo for memo in memos):
+            if key not in memo:
                 todo.setdefault(key, i)
         return rows[list(todo.values())] if len(todo) < len(rows) else rows, single, keys, todo
+
+    def _known(self, keys) -> np.ndarray:
+        """A copy of the memo's (M, E) rows of keys, NaN in the columns not swept."""
+        blank = np.full(self.pe.size, np.nan)
+        return np.array([self._memo.get(k, blank) for k in keys]).reshape(len(keys), blank.size)
+
+    def _fill(self, rows, keys, known, at, ex, memo):
+        """Sweep columns (rows[at], ex), at ascending, whole rows if all, into known and memo."""
+        known[at, ex] = self._sweep(rows, at, ex, len(at) == known.size)
+        memo.update((keys[i], known[i]) for i in set(at.tolist()))
 
     def _sweep(self, rows: np.ndarray, at: np.ndarray, ex: np.ndarray, whole: bool):
         """Morrey norms of the (input, eps) columns (rows[at], ex), at ascending, C E a block:
@@ -729,25 +746,44 @@ class GrandNormEvaluator:
     def morrey_vector(self, f) -> np.ndarray:
         """Per-grid-point Morrey norms ||f||_{p-eps, lam-A(eps)}: shape (E,)
         for one input, (M, E) for a stack of M."""
-        rows, single, keys, todo = self._missing(f, self._memo)
-        at, ex = np.divmod(np.arange(len(rows) * self.pe.size), self.pe.size)
-        self._memo.update(zip(todo, self._sweep(rows, at, ex, True).reshape(-1, self.pe.size)))
-        out = np.array([self._memo[key] for key in keys]).reshape(len(keys), self.pe.size)
+        rows, single, keys, todo = self._missing(f)
+        known = self._known(todo)
+        self._fill(rows, list(todo), known, *np.nonzero(np.isnan(known)), self._memo)
+        got = dict(zip(todo, known))
+        out = np.array([got[key] for key in keys]).reshape(len(keys), self.pe.size)
         return out[0] if single else out
 
     def weighted_vector(self, f) -> np.ndarray:
         """phi(eps)^(1/(p-eps)) ||f||_{p-eps, lam-A(eps)} over the grid, per input."""
         return self.phi_pow * self.morrey_vector(f)
 
+    def _phis(self, rows, keys, cuts, memo) -> np.ndarray:
+        """(M, K) Phi at a cuts array, for distinct rows: memo columns and the live ones swept."""
+        c, known = cuts[-1], self._known(keys)
+        hole = np.isnan(known[:, :c])
+        need = np.flatnonzero(hole.any(axis=1))  # a row without holes needs no bounds
+        upper, lower = _column_range(self.space, rows[need], self.pe[:c], self.phi_pow[:c],
+                                     self._bounds[0], *(b[:c] for b in self._bounds[1:]))
+        at, ex = np.nonzero(_live_columns(upper, lower, cuts) & hole[need])
+        self._fill(rows, keys, known, need[at], ex, memo)
+        return np.fmax.accumulate(self.phi_pow[:c] * known[:, :c], axis=1)[:, cuts - 1]
+
+    def phi_at(self, f, cuts) -> np.ndarray:
+        """Phi(f, sigma) at each cut, the grid points below sigma (non-decreasing, in 1..E): (K,)
+        or (M, K), bit for bit np.maximum.accumulate(weighted_vector(f))[..., cuts - 1]."""
+        cuts = np.asarray(cuts)
+        if cuts.ndim != 1 or cuts.size == 0 or cuts.dtype.kind not in "iu" \
+                or np.any(np.diff(cuts, prepend=1, append=self.pe.size) < 0):
+            raise ValueError(f"cuts must be non-decreasing integers in 1..{self.pe.size}")
+        rows, single, keys, todo = self._missing(f)
+        got = dict(zip(todo, self._phis(rows, list(todo), cuts, self._memo)))
+        out = np.array([got[key] for key in keys]).reshape(len(keys), cuts.size)
+        return out[0] if single else out
+
     def __call__(self, f):
         """The grand norm: a float for one input, an (M,) array for a stack."""
-        rows, single, keys, todo = self._missing(f, self._norms, self._memo)
-        upper, lower = _column_range(self.space, rows, self.pe, self.phi_pow, *self._bounds)
-        at, ex = np.nonzero(upper >= lower.max(axis=1, keepdims=True))
-        out = np.zeros(len(rows))
-        np.maximum.at(out, at, self.phi_pow[ex] * self._sweep(rows, at, ex, False))
-        self._norms.update(zip(todo, out))
-        self._norms.update({key: (self.phi_pow * self._memo[key]).max()  # from swept vectors
-                            for key in keys if key not in self._norms})
+        rows, single, keys, todo = self._missing(f, self._norms)
+        cut = np.array([self.pe.size])  # its columns are not kept: no suite reads them as vectors
+        self._norms.update(zip(todo, self._phis(rows, list(todo), cut, {})[:, 0]))
         out = np.array([self._norms[key] for key in keys])
         return float(out[0]) if single else out

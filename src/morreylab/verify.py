@@ -128,8 +128,13 @@ def dominance_check(space: DiscreteHomSpace, params: GrandParams, sigma_grid,
 
     The constant must stay stable (default 5 percent) when the corpus doubles:
     the first half of the corpus must already realize most of the maximum.
+    Phi is read at each sigma's cut, the grid points below it, by `GrandNormEvaluator.phi_at`,
+    which sweeps only the eps columns that can attain it.  Finite sigmas outside (0, s_max)
+    are dropped; a non-finite one raises ValueError.
     """
     sig = np.asarray(sigma_grid, dtype=float)
+    if not np.all(np.isfinite(sig)):
+        raise ValueError(f"sigma grid must be finite, got {sig[~np.isfinite(sig)][0]}")
     sig = sig[(sig > 0) & (sig < params.smax)]
     if sig.size < 2:
         raise ValueError("need at least two sigma grid points below s_max")
@@ -140,8 +145,7 @@ def dominance_check(space: DiscreteHomSpace, params: GrandParams, sigma_grid,
     if np.any(cut == 0):
         raise ValueError("no grid point below the smallest sigma")
     sig_w = params.phi(sig) ** (1.0 / (params.p - sig))
-    # (M, S): Phi(f, s) over grid points strictly < s, per sample and sigma
-    phis = np.maximum.accumulate(ev.weighted_vector(_stack(space, samples)), axis=1)[:, cut - 1]
+    phis = ev.phi_at(_stack(space, samples), cut)  # (M, S): per sample and sigma
     i, j = np.triu_indices(sig.size, k=1)  # pairs i < j: sigma_i < sigma_j
     live = phis[:, i] > 0  # a zero sample has no live pair and counts 0
     pair = np.divide(phis[:, j] * sig_w[i], phis[:, i], out=np.zeros(live.shape), where=live)

@@ -1,7 +1,9 @@
 import gc
 import math
+import sys
 import tracemalloc
 import weakref
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -812,12 +814,24 @@ class TestGrandNormEvaluator:
         assert peak <= 8 * row_table, (peak, row_table)
 
     def test_threads_may_share_an_instance(self, circle32):
+        # vectors and Phi at cuts fill the same per-column memo rows; a lost update may
+        # cost a sweep but never a value
         ev = self.evaluator(circle32)
         fs = np.random.default_rng(26).normal(size=(16, 32))
-        with ThreadPoolExecutor(max_workers=4) as pool:
-            got = list(pool.map(ev.morrey_vector, [*fs, *fs]))
-        for f, g in zip([*fs, *fs], got):
-            assert np.array_equal(g, unblocked_morrey_vector(ev, f))
+        jobs, cuts = [(f, i % 2) for i, f in enumerate([*fs, *fs, *fs])], [3, 8]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                got = list(pool.map(lambda job: ev.phi_at(job[0], cuts) if job[1]
+                                    else ev.morrey_vector(job[0]), jobs, timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        for (f, phi), g in zip(jobs, got):
+            want = unblocked_morrey_vector(ev, f)
+            if phi:
+                want = np.maximum.accumulate(ev.phi_pow * want)[np.array(cuts) - 1]
+            assert np.array_equal(g, want)
 
     def test_memo_returns_equal_private_copies(self, circle32):
         ev = self.evaluator(circle32)
@@ -1217,6 +1231,93 @@ class TestPrunedNorm:
         finally:
             tracemalloc.stop()
         assert peak <= 2.5 * funcnorm._BLOCK_BYTES, peak
+
+
+# cut lists of phi_at for a grid of e points: the first cut alone, the last alone, six in a
+# row, and a sparse list that repeats one
+CUT_LISTS = {
+    "first": lambda e: [1],
+    "last": lambda e: [e],
+    "consecutive": lambda e: list(range(e - 6, e)),
+    "sparse": lambda e: [2, e // 2, e // 2, e - 1],
+}
+
+
+def accumulated_reference(make, gp, fs, cuts):
+    """Phi at cuts from the whole weighted vectors of an evaluator on a space of its own."""
+    ev = GrandNormEvaluator(make(), gp)
+    return np.maximum.accumulate(ev.weighted_vector(fs), axis=1)[:, np.asarray(cuts) - 1]
+
+
+class TestPhiAtCuts:
+    """Phi(f, sigma) at cuts sweeps only the columns that can attain it at some cut and
+    equals the prefix maximum of the whole weighted vector bit for bit."""
+
+    @pytest.mark.parametrize("bundle", NORM_BUNDLES)
+    @pytest.mark.parametrize("make", STACK_SPACES.values(), ids=STACK_SPACES.keys())
+    def test_cuts_match_the_accumulated_vector(self, make, bundle):
+        gp = NORM_BUNDLES[bundle]()
+        fs = norm_stack(make().n, 70)
+        for name, cut_list in CUT_LISTS.items():
+            ev = GrandNormEvaluator(make(), gp)  # a fresh memo: phi_at sweeps its own columns
+            cuts = cut_list(ev.pe.size)
+            want = accumulated_reference(make, gp, fs, cuts)
+            got = ev.phi_at(fs, cuts)
+            assert got.shape == (len(fs), len(cuts)) and np.array_equal(got, want), name
+            one = GrandNormEvaluator(make(), gp).phi_at(fs[3], cuts)
+            assert one.shape == (len(cuts),) and np.array_equal(one, want[3]), name
+            assert np.all(got[2] == 0.0)  # the all-zero row
+
+    @pytest.mark.parametrize("size", [1e-160, 1e160])
+    def test_cuts_near_the_ends_of_the_float_range(self, size):
+        make, gp = STACK_SPACES["cloud40"], NORM_BUNDLES["varying"]()
+        fs = norm_stack(40, 71) * size
+        with np.errstate(over="ignore"):
+            for cut_list in CUT_LISTS.values():
+                ev = GrandNormEvaluator(make(), gp)
+                cuts = cut_list(ev.pe.size)
+                want = accumulated_reference(make, gp, fs, cuts)
+                assert np.array_equal(ev.phi_at(fs, cuts), want)
+
+    def test_columns_at_or_above_the_last_cut_are_never_swept(self, monkeypatch):
+        sp = build_uniform_grid(64, 1, "circle")
+        ev = GrandNormEvaluator(sp, NORM_BUNDLES["constant"]())
+        fs = norm_stack(sp.n, 72)
+        columns = counting_sweeps(monkeypatch)
+        ev.phi_at(fs, [4, 9])
+        assert columns and {pe for _, pe in columns} <= set(ev.pe[:9].tolist())
+        assert all(np.isnan(row[9:]).all() for row in ev._memo.values())
+
+    def test_default_dominance_sigmas_sweep_few_columns(self, monkeypatch):
+        # circle64's dominance reads six sigmas below the largest grid point; the
+        # whole vectors would sweep all 16 columns of every input
+        table = verify._check_table(verify.merge_config({"space": {"kind": "circle", "n": 64},
+                                                         "corpus": {"size": 256}}))
+        columns = counting_sweeps(monkeypatch)
+        rep = table["dominance"]()
+        per_input = Counter(f for f, _ in columns)
+        assert len(per_input) > 200 and max(per_input.values()) <= 7, per_input.most_common(1)
+        assert len(rep.details["sigma_grid"]) == 6
+
+    def test_dominance_then_vectors_sweep_each_column_once(self, monkeypatch):
+        sp = build_uniform_grid(64, 1, "circle")
+        gp = GrandParams.power(2.0, 0.25, 1.0, max_points=16, ratio=0.7)
+        fs = make_corpus(sp, "mixed", 48, 73).samples
+        columns = counting_sweeps(monkeypatch)
+        verify.dominance_check(sp, gp, gp.eps_grid[9:15], fs)
+        ev = GrandNormEvaluator(sp, gp)
+        vectors = ev.morrey_vector(fs)
+        distinct = {f.tobytes() for f in fs}
+        assert len(columns) == len(set(columns)) == ev.pe.size * len(distinct)
+        assert np.array_equal(vectors, GrandNormEvaluator(build_uniform_grid(64, 1, "circle"),
+                                                          gp).morrey_vector(fs))
+
+    @pytest.mark.parametrize("cuts", [[], [0], [17], [5, 4], [2.0], [[1, 2]]],
+                             ids=["empty", "zero", "past-the-grid", "descending", "float", "2-d"])
+    def test_bad_cuts_raise(self, cuts):
+        ev = GrandNormEvaluator(build_uniform_grid(32, 1, "circle"), NORM_BUNDLES["varying"]())
+        with pytest.raises(ValueError, match="cuts"):
+            ev.phi_at(np.ones(32), cuts)
 
 
 class TestNormAxioms:

@@ -94,6 +94,19 @@ class TestDominance:
         rep = dominance_check(CIRC32, gp, sig, small_corpus(CIRC32, 40).samples)
         assert rep.passed, rep.empirical
 
+    def test_non_finite_sigmas_raise_and_finite_ones_outside_are_dropped(self):
+        gp = GrandParams.power(2.0, 0.25, 1.0, max_points=10, ratio=0.7)
+        sig = gp.eps_grid[2:8]
+        rows = small_corpus(CIRC32, 12).samples
+        want = reports_to_json([dominance_check(CIRC32, gp, sig, rows)])
+        # finite sigmas outside (0, s_max) are dropped
+        assert reports_to_json([dominance_check(CIRC32, gp, np.r_[-1.0, 0.0, sig, gp.smax, 5.0],
+                                                rows)]) == want
+        for bad, name in ((np.r_[np.nan, sig, np.inf, 5.0], "nan"), (np.r_[sig, np.inf], "inf"),
+                          (np.r_[-np.inf, sig], "-inf")):
+            with pytest.raises(ValueError, match=f"got {name}$"):
+                dominance_check(CIRC32, gp, bad, rows)
+
 
 class TestEmbeddingChain:
     def test_constant_function_ordered(self):
@@ -576,6 +589,14 @@ class TestCheckTable:
         assert [r.check for r in reports] == ["dominance", "reduction_transfer[M]"]
         assert len(reports[0].details["sigma_grid"]) == min(n_eps - 1, 6)
 
+    def test_dominance_and_reduction_reports_do_not_depend_on_their_order(self):
+        # dominance sweeps a few eps columns of the fresh corpus, which the reduction's
+        # vectors then complete; the other way round dominance reads the whole vectors
+        first, second = (run_suite(dict(self.SMALL, checks=checks)) for checks in
+                         (["dominance", "reduction_maximal"], ["reduction_maximal", "dominance"]))
+        assert [reports_to_json([r]) for r in first] \
+            == [reports_to_json([r]) for r in second[::-1]]
+
     def test_default_dominance_sigmas_unchanged(self):
         # at 16 eps points the smallest one is never among the six sigmas
         gp = GrandParams.power(2.0, 0.25, 1.0, max_points=16, ratio=0.7)
@@ -685,19 +706,26 @@ def with_zero_f_and_constant_b(size=12):
 
 
 def one_row_at_a_time(monkeypatch):
-    """Make every evaluator sweep a stack one input per call, for vectors and for norms:
-    a norm call sweeps its own columns, not through morrey_vector."""
-    vector, norm = GrandNormEvaluator.morrey_vector, GrandNormEvaluator.__call__
+    """Make every evaluator sweep a stack one input per call, for vectors, for Phi at cuts
+    and for norms: Phi and norm calls sweep their own columns, not through morrey_vector."""
+    vector, phi, norm = (GrandNormEvaluator.morrey_vector, GrandNormEvaluator.phi_at,
+                         GrandNormEvaluator.__call__)
 
     def vectors(ev, f):
         if np.ndim(f) == 1:
             return vector(ev, f)
         return np.array([vector(ev, r) for r in f]).reshape(len(f), ev.pe.size)
 
+    def phis(ev, f, cuts):
+        if np.ndim(f) == 1:
+            return phi(ev, f, cuts)
+        return np.array([phi(ev, r, cuts) for r in f]).reshape(len(f), len(cuts))
+
     def norms(ev, f):
         return norm(ev, f) if np.ndim(f) == 1 else np.array([norm(ev, r) for r in f])
 
     monkeypatch.setattr(GrandNormEvaluator, "morrey_vector", vectors)
+    monkeypatch.setattr(GrandNormEvaluator, "phi_at", phis)
     monkeypatch.setattr(GrandNormEvaluator, "__call__", norms)
 
 
@@ -774,7 +802,11 @@ class TestBatchedRatios:
         batched = reports()
         CIRC32.balls.memo.clear()  # so that the row-wise run sweeps every input again
         one_row_at_a_time(monkeypatch)
+        rowwise, phi = [], GrandNormEvaluator.phi_at
+        monkeypatch.setattr(GrandNormEvaluator, "phi_at",
+                            lambda ev, f, cuts: rowwise.append(np.ndim(f)) or phi(ev, f, cuts))
         assert reports() == batched
+        assert rowwise == [2]  # dominance's stack, which one_row_at_a_time sweeps row by row
 
 
 def reference_fefferman_stein_ratios(space, p, lam, samples):
