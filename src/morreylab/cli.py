@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import funcnorm, homspace, operators, verify
-from .funcnorm import GrandParams, default_eps_grid
+from .funcnorm import GrandParams, as_values, default_eps_grid
 from .homspace import DiscreteHomSpace, SpaceValidationError
 
 USAGE_ERROR = 2
@@ -65,10 +65,7 @@ def load_space(args) -> DiscreteHomSpace:
 
 def load_values(space: DiscreteHomSpace, path: str) -> np.ndarray:
     parse = _csv_column if Path(path).suffix.lower() == ".csv" else _json_floats
-    arr = _read(path, "function", parse)
-    if arr.shape != (space.n,):
-        raise ValueError(f"function length {arr.shape} does not match space n={space.n}")
-    return arr
+    return as_values(space, _read(path, "function", parse))
 
 
 def cmd_space(args) -> int:
@@ -149,9 +146,6 @@ def cmd_op(args) -> int:
     elif name == "cz":
         if args.kernel_file:
             table = _read(args.kernel_file, "kernel", _json_floats)
-            if table.shape != (space.n, space.n):
-                raise ValueError(f"kernel table shape {table.shape} does not "
-                                 f"match space n={space.n}")
             kern = operators.kernel_from_matrix(space, table, name="file")
             params["kernel"] = "file"
         else:

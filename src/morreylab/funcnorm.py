@@ -140,39 +140,36 @@ class GridFunction:
     values: np.ndarray
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if v.shape != (self.space.n,):
-            raise ValueError(f"expected {self.space.n} values, got shape {v.shape}")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("grid function values must be finite")
-        v = v.copy()
+        v = as_values(self.space, self.values).copy()
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
 
 
 def as_values(space: DiscreteHomSpace, f) -> np.ndarray:
-    """Coerce a GridFunction or array-like to a validated value vector."""
-    if isinstance(f, GridFunction):
-        if f.space is not space:
-            raise ValueError("grid function lives on a different space")
-        return f.values
-    v = np.asarray(f, dtype=float)
-    if v.shape != (space.n,):
-        raise ValueError(f"expected {space.n} values, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
-        raise ValueError("grid function values must be finite")
-    return v
+    """One input, a GridFunction of `space` or an (N,) vector, as validated values."""
+    rows, single = _as_rows(space, f)
+    if not single:
+        raise ValueError(f"expected {space.n} values, got shape {rows.shape}")
+    return rows[0]
 
 
 def _as_rows(space: DiscreteHomSpace, f) -> tuple[np.ndarray, bool]:
-    """One input (N,) or a stack (M, N) as validated (M, N) rows, and whether it was one."""
-    single = isinstance(f, GridFunction) or np.ndim(f) == 1
-    rows = as_values(space, f)[None] if single else np.asarray(f, dtype=float)
-    if rows.ndim != 2 or rows.shape[1] != space.n:
-        raise ValueError(f"expected (M, {space.n}) values, got shape {rows.shape}")
-    if not np.all(np.isfinite(rows)):
+    """What every norm, operator and check takes: a GridFunction of `space`, an (N,)
+    vector or an (M, N) stack, all finite.  (M, N) rows, and whether it was one input."""
+    if isinstance(f, GridFunction):
+        if f.space is not space:
+            raise ValueError("grid function lives on a different space")
+        return f.values[None], True  # validated when it was made
+    want = f"expected {space.n} values or an (M, {space.n}) stack"
+    try:
+        rows = np.asarray(f, dtype=float)  # copies only to convert
+    except (TypeError, ValueError) as exc:  # a GridFunction row, a ragged list
+        raise ValueError(f"{want} of numbers: {exc}") from None
+    if rows.ndim not in (1, 2) or rows.shape[-1] != space.n:
+        raise ValueError(f"{want}, got shape {rows.shape}")
+    if not np.isfinite(rows).all():
         raise ValueError("grid function values must be finite")
-    return rows, single
+    return (rows[None], True) if rows.ndim == 1 else (rows, False)
 
 
 def default_eps_grid(smax: float, ratio: float = 0.9, floor: float = 1e-6,

@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .funcnorm import _as_rows, _center_peaks, _oscillation_peaks, as_values
+from .funcnorm import _as_rows, _center_peaks, _oscillation_peaks
 from .homspace import DiscreteHomSpace
 
 __all__ = [
@@ -56,8 +56,8 @@ def maximal_s(space: DiscreteHomSpace, f, s: float) -> np.ndarray:
     """(M |f|^s)^(1/s) for s >= 1, of one input (N,) or per row of a stack (M, N)."""
     if s < 1:
         raise ValueError("need s >= 1")
-    v = as_values(space, f) if np.ndim(f) < 2 else np.asarray(f, dtype=float)
-    return maximal(space, np.abs(v) ** s) ** (1.0 / s)  # maximal checks the stack
+    rows, single = _as_rows(space, f)
+    return maximal(space, np.abs(rows[0] if single else rows) ** s) ** (1.0 / s)
 
 
 def sharp_maximal(space: DiscreteHomSpace, f) -> np.ndarray:
@@ -91,7 +91,7 @@ def kernel_from_matrix(space: DiscreteHomSpace, matrix, name: str = "custom",
     A non-finite off-diagonal entry raises ValueError."""
     m = np.asarray(matrix, dtype=float)
     if m.shape != (space.n, space.n):
-        raise ValueError("kernel table shape does not match the space")
+        raise ValueError(f"kernel table shape {m.shape} does not match space n={space.n}")
     lhs = np.abs(m)
     lhs *= space.balls.open_measure
     np.fill_diagonal(lhs, 0.0)  # the diagonal is never applied: a 0 drops out of the max

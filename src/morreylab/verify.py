@@ -27,7 +27,7 @@ import numpy as np
 from . import auxfun, homspace
 from .auxfun import AuxExponents, constant_formula, eta_identity_residual, eval_aux
 from .corpus import Corpus, make_corpus
-from .funcnorm import (GrandNormEvaluator, GrandParams, TabulatedFunction,
+from .funcnorm import (GrandNormEvaluator, GrandParams, TabulatedFunction, _as_rows,
                        _grand_lebesgue_values, bmo_norm, default_eps_grid, lp_norm,
                        morrey_norm)
 from .homspace import DiscreteHomSpace, build_uniform_grid, doubling_constant
@@ -121,6 +121,13 @@ def _nanmax_with_arg(values: np.ndarray) -> tuple[float, int]:
     return float(values[idx]), idx
 
 
+def _samples(space: DiscreteHomSpace, samples) -> np.ndarray:
+    """A structural check's corpus as `_as_rows` rows; no sample raises AllSamplesDegenerate."""
+    if hasattr(samples, "__len__") and len(samples) == 0:  # a GridFunction has no len
+        raise AllSamplesDegenerate("empty corpus")
+    return _as_rows(space, samples)[0]
+
+
 def dominance_check(space: DiscreteHomSpace, params: GrandParams, sigma_grid,
                     samples: Sequence[np.ndarray], *, corpus_desc: str = "",
                     stability_tol: float = 0.05) -> VerificationReport:
@@ -145,7 +152,7 @@ def dominance_check(space: DiscreteHomSpace, params: GrandParams, sigma_grid,
     if np.any(cut == 0):
         raise ValueError("no grid point below the smallest sigma")
     sig_w = params.phi(sig) ** (1.0 / (params.p - sig))
-    phis = ev.phi_at(_stack(space, samples), cut)  # (M, S): per sample and sigma
+    phis = ev.phi_at(_samples(space, samples), cut)  # (M, S): per sample and sigma
     i, j = np.triu_indices(sig.size, k=1)  # pairs i < j: sigma_i < sigma_j
     live = phis[:, i] > 0  # a zero sample has no live pair and counts 0
     pair = np.divide(phis[:, j] * sig_w[i], phis[:, i], out=np.zeros(live.shape), where=live)
@@ -179,7 +186,7 @@ def embedding_chain_check(space: DiscreteHomSpace, p: float, theta1: float,
                                     max_points=40)
     mu_cap = max(1.0, space.total_measure)
     exact = p <= 2
-    rows = _stack(space, samples)
+    rows = _samples(space, samples)
     npn = lp_norm(space, rows, p)
     live = np.flatnonzero(npn > 0)
     g1, g2 = _grand_lebesgue_values(space, rows[live], p, (theta1, theta2),
@@ -220,8 +227,8 @@ def reduction_transfer_check(space: DiscreteHomSpace, U: Callable, Lam: Callable
     if not (0 < sigma < params_in.smax):
         raise ValueError("need 0 < sigma < s_max of the input bundle")
 
-    rows = _stack(space, samples)
-    uf, lf = _stack(space, U(rows)), _stack(space, Lam(rows))
+    rows = _samples(space, samples)
+    uf, lf = _as_rows(space, U(rows))[0], _as_rows(space, Lam(rows))[0]
 
     p, q = params_in.p, params_out.p
     ev_in = GrandNormEvaluator(space, params_in)
@@ -316,13 +323,9 @@ def commutator_suite(space: DiscreteHomSpace, kind: str, f_samples, b_samples,
     taken over the first half of the corpus; the report fails if any constant
     moves more than `stability_tol` or the exact pointwise facts fail.
     """
-    rows_f = list(f_samples)
-    rows_b = list(b_samples)[:len(rows_f)]
-    if not rows_f or not rows_b:
-        raise AllSamplesDegenerate("empty corpus")
-    fs, bs = _stack(space, rows_f), _stack(space, rows_b)
-    pairs = np.arange(len(fs)) % len(bs)
-    nbs = _bmo_means(space, bs)[pairs]
+    fs, bs = _samples(space, f_samples), _samples(space, b_samples)
+    bs = bs[np.arange(len(fs)) % len(bs)]  # each pair's b: any beyond the f corpus is unused
+    nbs = _bmo_means(space, bs)
     live = np.flatnonzero(nbs > 0)  # pairs with a constant b have no pointwise bound
 
     if kind == "cz":
@@ -331,7 +334,7 @@ def commutator_suite(space: DiscreteHomSpace, kind: str, f_samples, b_samples,
         ev = GrandNormEvaluator(space, params_in)
         ev_out = GrandNormEvaluator(space, params_out) if params_out is not None else ev
         point = np.zeros(len(fs))
-        gs = commutator(bs[pairs], operator, fs)
+        gs = commutator(bs, operator, fs)
         dens = nbs[live, None] * (maximal_s(space, operator(fs[live]), s)
                                   + maximal_s(space, fs[live], s))
         nums = sharp_maximal(space, gs[live])
@@ -364,7 +367,7 @@ def commutator_suite(space: DiscreteHomSpace, kind: str, f_samples, b_samples,
     def morrey_at(r):
         return lambda g: morrey_norm(space, g, r, exps.lam)
 
-    gs = commutator(bs[pairs], pot, fs)
+    gs = commutator(bs, pot, fs)
     mgs = maximal(space, gs)
     dom_ok = bool(np.all(np.abs(gs[live]) <= mgs[live] * (1 + 1e-12) + 1e-300))
     full, half, drift = _stability(
@@ -380,12 +383,6 @@ def commutator_suite(space: DiscreteHomSpace, kind: str, f_samples, b_samples,
         empirical={**full, "pointwise_domination": dom_ok, "drift": drift, **half},
         theoretical=theo, passed=passed,
         details={"s": s, "doubling_b": cd, "stability_tol": stability_tol})
-
-
-def _stack(space: DiscreteHomSpace, rows) -> np.ndarray:
-    """Inputs as one (M, N) array for the grand evaluator; no input gives (0, N)."""
-    rows = list(rows)
-    return np.asarray(rows, dtype=float).reshape(len(rows), space.n)
 
 
 def _half_and_full(values, empty: float) -> tuple[float, float]:
@@ -423,7 +420,7 @@ def fefferman_stein_check(space: DiscreteHomSpace, p: float, lam: float,
     recentred to weighted mean zero and the exclusion is recorded.
     """
     w, mu = space.weight, space.total_measure
-    f0s = _stack(space, [f - float(f @ w) / mu for f in samples])
+    f0s = np.array([f - float(f @ w) / mu for f in _samples(space, samples)])
     den = morrey_norm(space, sharp_maximal(space, f0s), p, lam)
     num = morrey_norm(space, maximal(space, f0s), p, lam)
     ratios = np.divide(num, den, out=np.full(len(f0s), np.nan), where=den > 0)
@@ -750,9 +747,10 @@ def _check_config_type(key: str, default, val) -> None:
 
 
 def merge_config(user: dict | None) -> dict:
-    """DEFAULT_CONFIG updated by `user`; an unknown key, or a value whose JSON
-    type is not its default's, raises ValueError naming the key.  A `space`
-    section naming a kind replaces the default's: build_space sizes the kind."""
+    """DEFAULT_CONFIG updated by `user`; an unknown key, a value whose JSON
+    type is not its default's, or a corpus size or `eta_draws` below 1 raises
+    ValueError naming the key.  A `space` section naming a kind replaces the
+    default's: build_space sizes the kind."""
     cfg = json.loads(json.dumps(DEFAULT_CONFIG))  # deep copy
     for key, val in (user or {}).items():
         if key not in cfg:
@@ -769,6 +767,10 @@ def merge_config(user: dict | None) -> dict:
             cfg[key].update(val)
         else:
             cfg[key] = val
+    sizes = {f"{sec}.size": cfg[sec]["size"] for sec in ("corpus", "calibration", "bmo_corpus")}
+    for key, val in {**sizes, "eta_draws": cfg["eta_draws"]}.items():
+        if val < 1:
+            raise ValueError(f"config key {key!r} must be at least 1, got {val}")
     return cfg
 
 

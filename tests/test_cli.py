@@ -140,6 +140,25 @@ class TestNormCommand:
         assert code == 2
 
 
+class TestFunctionFiles:
+    """A function file goes through `as_values`, the norms' and operators' own
+    validator: a file that is not N finite numbers exits 2 with one error line."""
+
+    @pytest.mark.parametrize("text, needle", [
+        ("[[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]", "expected 3 values, got shape (2, 3)"),
+        ("[1.0, 2.0]", "expected 3 values or an (M, 3) stack, got shape (2,)"),
+        ("[1.0, NaN, 0.0]", "grid function values must be finite"),
+    ], ids=["2-d", "length", "nan"])
+    @pytest.mark.parametrize("command", [["norm", "--norm", "lp"], ["op", "--op", "maximal"]],
+                             ids=["norm", "op"])
+    def test_bad_function_file_is_usage_error(self, tmp_path, command, text, needle):
+        f = tmp_path / "f.json"
+        f.write_text(text)
+        proc = run_process(*command, "--grid", "3", "--f", str(f))
+        assert proc.returncode == 2 and not proc.stdout, proc.stderr
+        assert proc.stderr.splitlines() == [f"error: {needle}"]
+
+
 class TestOpCommand:
     def test_maximal_values(self, capsys, tmp_path):
         f = tmp_path / "f.json"
@@ -190,6 +209,7 @@ class TestOpCommand:
         code, _, err = run(capsys, "op", "--grid", "3", "--f", str(f),
                            "--op", "cz", "--kernel-file", str(kern))
         assert code == 2
+        assert err == "error: kernel table shape (2, 2) does not match space n=3\n"
 
 
 class TestVerifyCommand:
@@ -254,8 +274,14 @@ class TestVerifyCommand:
         ({"params": {"p": "2"}, "checks": ["eta_identity"]}, "params.p"),
         ({"corpus": 3, "checks": ["eta_identity"]}, "corpus"),
         ({"checks": "eta_identity"}, "checks"),
-    ], ids=["space", "space.n", "params.p", "corpus", "checks"])
+        ({"corpus": {"size": 0}, "checks": ["maximal_morrey"]}, "corpus.size"),
+        ({"calibration": {"size": 0}, "checks": ["maximal_morrey"]}, "calibration.size"),
+        ({"bmo_corpus": {"size": 0}, "checks": ["cz_commutator_grand"]}, "bmo_corpus.size"),
+        ({"eta_draws": -5, "checks": ["eta_identity"]}, "eta_draws"),
+    ], ids=["space", "space.n", "params.p", "corpus", "checks", "corpus.size",
+            "calibration.size", "bmo_corpus.size", "eta_draws"])
     def test_config_value_of_wrong_type_is_usage_error(self, tmp_path, user, key):
+        """Also a corpus size or `eta_draws` below 1: `config key ... must be at least 1`."""
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(user))
         proc = run_process("verify", "--config", str(cfg), "--out", str(tmp_path / "o"))

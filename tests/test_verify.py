@@ -10,8 +10,8 @@ import pytest
 from morreylab import verify
 from morreylab.auxfun import AuxExponents, eta_identity_residual, psi_table
 from morreylab.corpus import Corpus, make_corpus
-from morreylab.funcnorm import (GrandNormEvaluator, GrandParams, TabulatedFunction,
-                                bmo_norm, default_eps_grid, grand_lebesgue_norm,
+from morreylab.funcnorm import (GrandNormEvaluator, GrandParams, GridFunction,
+                                TabulatedFunction, bmo_norm, default_eps_grid, grand_lebesgue_norm,
                                 grand_morrey_norm, lp_norm, morrey_norm)
 from morreylab.homspace import (build_from_table, build_uniform_grid, dump_space_json,
                                 space_from_points)
@@ -252,6 +252,22 @@ class TestCommutatorSuite:
         commutator_suite(other, "cz", fc.samples, bc.samples, params_in=gp_in,
                          operator=CZOperator(other, conjugate_kernel(other)))
         assert len(calls) == 2 * len(bc)
+
+
+    @pytest.mark.parametrize("kind", ["cz", "potential"])
+    def test_b_samples_beyond_the_f_corpus_are_not_used(self, monkeypatch, kind):
+        sp = build_uniform_grid(32, 1, "circle")
+        fs, bs = small_corpus(sp, 3, 31).samples, make_corpus(sp, "bmo", 5, 32).samples
+        exps, gp_in, gp_out = verify._potential_bundles(2.0, 0.25, 0.25, 1.0, 0.5, 0.05, 6)
+        kw = dict(params_in=gp_in, operator=CZOperator(sp, conjugate_kernel(sp)),
+                  params_out=gp_out, exps=exps)
+        want = reports_to_json([commutator_suite(
+            build_uniform_grid(32, 1, "circle"), kind, fs, bs[:3], **kw)])
+        calls, real = [], verify.bmo_norm
+        monkeypatch.setattr(verify, "bmo_norm",
+                            lambda space, b, *a: calls.append(b.tobytes()) or real(space, b, *a))
+        assert reports_to_json([commutator_suite(sp, kind, fs, bs, **kw)]) == want
+        assert sorted(calls) == sorted(b.tobytes() for b in bs[:3])
 
 
 class TestFeffermanStein:
@@ -554,6 +570,22 @@ class TestSuiteRunner:
         # grid2d section would ask for 256 x 256 atoms
         assert space == merged
         assert verify.build_space(space).n == n
+
+    @pytest.mark.parametrize("user, key", [
+        ({"corpus": {"size": 0}}, "corpus.size"),
+        ({"calibration": {"size": -3}}, "calibration.size"),
+        ({"bmo_corpus": {"size": 0}}, "bmo_corpus.size"),
+        ({"eta_draws": -5}, "eta_draws"),
+        ({"eta_draws": 0}, "eta_draws"),
+    ])
+    def test_merge_config_rejects_counts_below_one(self, user, key):
+        with pytest.raises(ValueError, match=f"config key '{key}' must be at least 1"):
+            merge_config(user)
+
+    def test_merge_config_accepts_counts_of_one(self):
+        cfg = merge_config({"corpus": {"size": 1}, "calibration": {"size": 1},
+                            "bmo_corpus": {"size": 1}, "eta_draws": 1})
+        assert [cfg[k]["size"] for k in ("corpus", "calibration", "bmo_corpus")] == [1, 1, 1]
 
 
 class TestCheckTable:
@@ -926,11 +958,11 @@ def reference_reduction_empirical(space, U, Lam, params_in, params_out, sigma, s
 
 
 def per_sample_corpora():
-    """Corpora with a zero sample, an all-zero and an empty stack, and the
-    spike and step families."""
+    """Corpora with a zero sample and an all-zero stack, and the spike and
+    step families; an empty corpus raises (TestFrontDoor)."""
     fc, bc = with_zero_f_and_constant_b(16)
     return {"zero_f": fc.samples, "constant_b": bc.samples,
-            "all_zero": np.zeros((4, 32)), "empty": np.zeros((0, 32)),
+            "all_zero": np.zeros((4, 32)),
             "spikes": make_corpus(CIRC32, "spikes", 24, 51).samples,
             "steps": make_corpus(CIRC32, "steps", 24, 52).samples}
 
@@ -1185,3 +1217,113 @@ class TestScaleInvariance:
                 assert rep.empirical.keys() == want.empirical.keys()
                 for key, value in want.empirical.items():
                     assert_scale_invariant(rep.empirical[key], value, f"{rep.check}.{key}")
+
+
+FRONT_F = make_corpus(CIRC32, "trig", 4, 81).samples
+FRONT_B = make_corpus(CIRC32, "bmo", 3, 82).samples
+STRUCTURAL = ("dominance", "embedding_chain", "reduction_maximal", "reduction_cz",
+              "commutator_cz", "commutator_cz_b", "commutator_potential",
+              "commutator_potential_b", "fefferman_stein")
+
+
+def front_door_calls():
+    """Every structural check, on its one corpus (a commutator suite's f corpus, or
+    with "_b" its b corpus), and every norm and operator that takes a stack."""
+    gp = GrandParams.power(2.0, 0.25, 1.0, max_points=8, ratio=0.7)
+    exps, gp_in, gp_out = verify._potential_bundles(2.0, 0.25, 0.25, 1.0, 0.5, 0.05, 8)
+    cz, sigma = CZOperator(CIRC32, conjugate_kernel(CIRC32)), float(gp.eps_grid[-2])
+    ident = lambda f: np.asarray(f, dtype=float)
+    cz_kw = dict(params_in=gp, operator=cz)
+    pot_kw = dict(params_in=gp_in, params_out=gp_out, exps=exps)
+    return {
+        "dominance": lambda xs: dominance_check(CIRC32, gp, gp.eps_grid[1:7], xs),
+        "embedding_chain": lambda xs: embedding_chain_check(CIRC32, 2.0, 1.0, 2.0, 0.5, xs),
+        "reduction_maximal": lambda xs: reduction_transfer_check(
+            CIRC32, lambda f: maximal(CIRC32, f), ident, gp, gp, sigma, xs),
+        "reduction_cz": lambda xs: reduction_transfer_check(CIRC32, cz, ident, gp, gp,
+                                                            sigma, xs),
+        "commutator_cz": lambda xs: commutator_suite(CIRC32, "cz", xs, FRONT_B, **cz_kw),
+        "commutator_cz_b": lambda xs: commutator_suite(CIRC32, "cz", FRONT_F, xs, **cz_kw),
+        "commutator_potential": lambda xs: commutator_suite(CIRC32, "potential", xs,
+                                                            FRONT_B, **pot_kw),
+        "commutator_potential_b": lambda xs: commutator_suite(CIRC32, "potential", FRONT_F,
+                                                              xs, **pot_kw),
+        "fefferman_stein": lambda xs: fefferman_stein_check(CIRC32, 2.0, 0.25, xs),
+        "lp_norm": lambda xs: lp_norm(CIRC32, xs, 2.0),
+        "morrey_norm": lambda xs: morrey_norm(CIRC32, xs, 2.0, 0.25),
+        "grand_norm": GrandNormEvaluator(CIRC32, gp),
+        "morrey_vector": GrandNormEvaluator(CIRC32, gp).morrey_vector,
+        "maximal": lambda xs: maximal(CIRC32, xs),
+        "maximal_s": lambda xs: maximal_s(CIRC32, xs, 1.5),
+        "sharp_maximal": lambda xs: sharp_maximal(CIRC32, xs),
+        "cz_operator": cz,
+        "potential_operator": PotentialOperator(CIRC32, 0.25),
+    }
+
+
+def front_door_bits(out):
+    if isinstance(out, verify.VerificationReport):
+        return reports_to_json([out])
+    return np.shape(out), np.asarray(out).tobytes()
+
+
+class TestFrontDoor:
+    """Every structural check, norm and operator takes its inputs through
+    `funcnorm._as_rows`: one set of rejections, and a list of rows, an (M, N)
+    array and one (N,) sample mean the same everywhere."""
+
+    BAD_LENGTH = r"expected 32 values or an \(M, 32\) stack"
+
+    @pytest.mark.parametrize("name", sorted(front_door_calls()))
+    def test_wrong_length_row_raises(self, name):
+        call, rows = front_door_calls()[name], FRONT_F[:3]
+        for bad in (rows[:, :31], [rows[0], rows[1][:31], rows[2]]):
+            with pytest.raises(ValueError, match=self.BAD_LENGTH):
+                call(bad)
+
+    @pytest.mark.parametrize("name", sorted(front_door_calls()))
+    def test_non_finite_entry_raises(self, name):
+        call = front_door_calls()[name]
+        for value in (np.nan, np.inf):
+            bad = FRONT_F[:3].copy()
+            bad[1, 5] = value
+            for xs in (bad, list(bad)):
+                with pytest.raises(ValueError, match="values must be finite"):
+                    call(xs)
+
+    @pytest.mark.parametrize("name", sorted(front_door_calls()))
+    def test_grid_function_row_raises(self, name):
+        rows = [GridFunction(CIRC32, FRONT_F[0]), FRONT_F[1]]
+        with pytest.raises(ValueError, match=self.BAD_LENGTH + " of numbers"):
+            front_door_calls()[name](rows)
+
+    @pytest.mark.parametrize("name", sorted(front_door_calls()))
+    def test_list_of_rows_is_the_stack(self, name):
+        call = front_door_calls()[name]
+        assert front_door_bits(call(list(FRONT_F))) == front_door_bits(call(FRONT_F))
+
+    @pytest.mark.parametrize("name", sorted(front_door_calls()))
+    def test_one_sample_is_one_row(self, name):
+        call = front_door_calls()[name]
+        one, stack = call(FRONT_F[1]), call(FRONT_F[1:2])
+        if name not in STRUCTURAL:
+            stack = stack[0]
+        assert front_door_bits(one) == front_door_bits(stack)
+        assert front_door_bits(call(GridFunction(CIRC32, FRONT_F[1]))) == front_door_bits(one)
+
+    @pytest.mark.parametrize("name", STRUCTURAL)
+    @pytest.mark.parametrize("empty", [[], np.zeros((0, 32))], ids=["list", "array"])
+    def test_empty_corpus_is_degenerate(self, name, empty):
+        with pytest.raises(AllSamplesDegenerate, match="empty corpus"):
+            front_door_calls()[name](empty)
+
+    @pytest.mark.parametrize("bad, match", [
+        (lambda f: f[:, :31], BAD_LENGTH), (lambda f: f * np.nan, "finite")],
+        ids=["length", "nan"])
+    def test_reduction_outputs_are_validated(self, bad, match):
+        gp = GrandParams.power(2.0, 0.25, 1.0, max_points=8, ratio=0.7)
+        ident = lambda f: np.asarray(f, dtype=float)
+        for u, lam in ((bad, ident), (ident, bad)):
+            with pytest.raises(ValueError, match=match):
+                reduction_transfer_check(CIRC32, u, lam, gp, gp, float(gp.eps_grid[-2]),
+                                         FRONT_F)
